@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet vet-stats fmt test race bench bench-compare bench-regression fuzz-smoke incr-smoke lint-smoke serve serve-smoke cluster-smoke ci
+.PHONY: build vet vet-stats fmt test race bench bench-regression fuzz-smoke incr-smoke lint-smoke serve serve-smoke cluster-smoke ci
 
 build:
 	$(GO) build ./...
@@ -36,25 +36,6 @@ race:
 # compile and run, not a measurement.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
-
-# Legacy engine vs compiled join plans on the evaluation benchmarks,
-# via the SQO_EVAL_ENGINE override honored by benchEvalWith. Summarized
-# with benchstat when it is installed (go install
-# golang.org/x/perf/cmd/benchstat@v0.0.0-20230113213139-801c7ef9e5c5,
-# the version CI pins); falls back to printing the raw runs otherwise.
-BENCH_COMPARE_PAT ?= 'BenchmarkE1GoodPath|BenchmarkE3ABPaths|BenchmarkP1Parallel'
-BENCH_COMPARE_COUNT ?= 5
-
-bench-compare:
-	SQO_EVAL_ENGINE=legacy $(GO) test -run='^$$' -bench=$(BENCH_COMPARE_PAT) \
-		-benchmem -count=$(BENCH_COMPARE_COUNT) . | tee bench-legacy.txt
-	SQO_EVAL_ENGINE=compiled $(GO) test -run='^$$' -bench=$(BENCH_COMPARE_PAT) \
-		-benchmem -count=$(BENCH_COMPARE_COUNT) . | tee bench-compiled.txt
-	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat bench-legacy.txt bench-compiled.txt; \
-	else \
-		echo "benchstat not installed; raw runs are in bench-legacy.txt and bench-compiled.txt"; \
-	fi
 
 # Re-run the JSON-emitting experiments and diff against the committed
 # baselines — the same commands the CI bench-regression job runs.

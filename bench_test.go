@@ -6,7 +6,6 @@ package sqo
 
 import (
 	"fmt"
-	"os"
 	"testing"
 
 	"repro/internal/tcm"
@@ -50,19 +49,6 @@ func benchEval(b *testing.B, prog *Program, db *DB) {
 	benchEvalWith(b, prog, db, DefaultEvalOptions())
 }
 
-// engineOverride applies the SQO_EVAL_ENGINE environment variable
-// (legacy | compiled) so `make bench-compare` can run the same
-// benchmark names on both engines and feed the outputs to benchstat.
-func engineOverride(opts EvalOptions) EvalOptions {
-	switch os.Getenv("SQO_EVAL_ENGINE") {
-	case "legacy":
-		opts.CompilePlans = false
-	case "compiled":
-		opts.CompilePlans = true
-	}
-	return opts
-}
-
 // evalOptsWorkers is DefaultEvalOptions with a fixed worker count.
 func evalOptsWorkers(w int) EvalOptions {
 	o := DefaultEvalOptions()
@@ -71,7 +57,6 @@ func evalOptsWorkers(w int) EvalOptions {
 }
 
 func benchEvalWith(b *testing.B, prog *Program, db *DB, opts EvalOptions) {
-	opts = engineOverride(opts)
 	b.ReportAllocs()
 	var probes int64
 	for i := 0; i < b.N; i++ {
@@ -323,9 +308,9 @@ func BenchmarkP1ParallelGoodPath(b *testing.B) {
 	}
 }
 
-// BenchmarkA3SeminaiveVsNaive compares the evaluation engines on a
-// plain transitive closure.
-func BenchmarkA3SeminaiveVsNaive(b *testing.B) {
+// BenchmarkA3IndexedVsScan ablates hash indexes (the A3 experiment)
+// on a plain transitive closure: indexed joins against full scans.
+func BenchmarkA3IndexedVsScan(b *testing.B) {
 	p := MustParseProgram(`
 		path(X, Y) :- step(X, Y).
 		path(X, Y) :- step(X, Z), path(Z, Y).
@@ -336,10 +321,8 @@ func BenchmarkA3SeminaiveVsNaive(b *testing.B) {
 		name string
 		opts EvalOptions
 	}{
-		{"seminaive-indexed", EvalOptions{Seminaive: true, UseIndex: true, CompilePlans: true}},
-		{"seminaive-scan", EvalOptions{Seminaive: true, UseIndex: false, CompilePlans: true}},
-		{"naive-indexed", EvalOptions{Seminaive: false, UseIndex: true, CompilePlans: true}},
-		{"naive-scan", EvalOptions{Seminaive: false, UseIndex: false, CompilePlans: true}},
+		{"indexed", EvalOptions{}},
+		{"scan", EvalOptions{Scan: true}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -82,10 +82,10 @@ func main() {
 		{"E8", "Proposition 5.2: emptiness via initialization rules", runE8},
 		{"A1", "Ablation: pipeline passes on the threshold workload", runA1},
 		{"A2", "Ablation: [CGM88] per-rule baseline vs query tree", runA2},
-		{"A3", "Ablation: evaluation engine (semi-naive, indexes)", runA3},
+		{"A3", "Ablation: hash indexes vs scans in semi-naive evaluation", runA3},
 		{"P1", "Parallel semi-naive scaling (workers sweep)", runP1},
 		{"P2", "Rewrite-cache amortization (cold vs cache hit)", runP2},
-		{"P3", "Compiled join plans vs legacy string-keyed engine", runP3},
+		{"P3", "Compiled join plans: time, allocations, probes", runP3},
 		{"P4", "Incremental view maintenance vs recompute", runP4},
 		{"P5", "Lint wall-clock per check family", runP5},
 		{"P6", "Join-order policies: greedy vs cost vs adaptive", runP6},

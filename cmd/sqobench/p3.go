@@ -1,13 +1,13 @@
 package main
 
-// P3: compiled join plans (interned terms, slot bindings, greedy join
-// ordering) versus the legacy string-keyed engine. Same programs, same
-// databases, Workers fixed at 1 so allocation counts are deterministic;
-// the table reports wall clock (best of 3), a per-run allocation count
-// (runtime.MemStats.Mallocs delta), join probes, and whether the two
-// engines agreed bit-for-bit on answers, derived tuples, and probes.
-// With -out the rows are also written as JSON (committed as
-// BENCH_3.json for regression tracking).
+// P3: the compiled-plan engine (interned terms, slot bindings, greedy
+// join ordering) on three fixed workloads, with Workers fixed at 1 so
+// allocation counts are deterministic. The table reports wall clock
+// (best of 3), a per-run allocation count (runtime.MemStats.Mallocs
+// delta), join probes, answers, and derived tuples. With -out the rows
+// are also written as JSON (committed as BENCH_3.json for regression
+// tracking). Rows keep engine "compiled", the name they carried while a
+// second engine was measured alongside, so baselines stay comparable.
 
 import (
 	"encoding/json"
@@ -74,11 +74,8 @@ func runP3() {
 			{"goodpath(200,100,60)", gp, sqo.NewDBFrom(workload.GoodPath(200, 100, 60))},
 		}
 	}
-	legacy := sqo.DefaultEvalOptions()
-	legacy.CompilePlans = false
-	legacy.Workers = 1
-	compiled := sqo.DefaultEvalOptions()
-	compiled.Workers = 1
+	opts := sqo.DefaultEvalOptions()
+	opts.Workers = 1
 
 	report := p3Report{
 		CPUs:   runtime.NumCPU(),
@@ -86,45 +83,29 @@ func runP3() {
 		GOARCH: runtime.GOARCH,
 		Go:     runtime.Version(),
 	}
-	header("workload", "engine", "time", "allocs", "probes", "speedup", "agree")
+	header("workload", "engine", "time", "allocs", "probes", "answers", "derived")
 	for _, c := range cases {
-		var rows [2]p3Row
-		var ms [2]measurement
-		for ei, eng := range []struct {
-			name string
-			opts sqo.EvalOptions
-		}{{"legacy", legacy}, {"compiled", compiled}} {
-			m, allocs := measureAllocs(c.prog, c.db, eng.opts)
-			// Best of 3 to damp scheduler noise; allocations are
-			// deterministic, the first run's count stands.
-			for rep := 0; rep < 2; rep++ {
-				if r := measureWith(c.prog, c.db, eng.opts); r.elapsed < m.elapsed {
-					m.elapsed = r.elapsed
-				}
-			}
-			ms[ei] = m
-			rows[ei] = p3Row{
-				Workload: c.name,
-				Engine:   eng.name,
-				NsOp:     m.elapsed.Nanoseconds(),
-				AllocsOp: allocs,
-				Probes:   m.probes,
-				Answers:  m.answers,
-				Derived:  m.derived,
+		m, allocs := measureAllocs(c.prog, c.db, opts)
+		// Best of 3 to damp scheduler noise; allocations are
+		// deterministic, the first run's count stands.
+		for rep := 0; rep < 2; rep++ {
+			if r := measureWith(c.prog, c.db, opts); r.elapsed < m.elapsed {
+				m.elapsed = r.elapsed
 			}
 		}
-		agree := ms[0].answers == ms[1].answers && ms[0].derived == ms[1].derived && ms[0].probes == ms[1].probes
-		for ei := range rows {
-			speedup := ""
-			if ei == 1 {
-				speedup = fmt.Sprintf("%.1fx", float64(rows[0].NsOp)/float64(rows[1].NsOp))
-			}
-			fmt.Printf("%-24s | %-8s | %12v | %9d | %9d | %7s | %v\n",
-				rows[ei].Workload, rows[ei].Engine,
-				time.Duration(rows[ei].NsOp).Round(time.Microsecond),
-				rows[ei].AllocsOp, rows[ei].Probes, speedup, agree)
+		row := p3Row{
+			Workload: c.name,
+			Engine:   "compiled",
+			NsOp:     m.elapsed.Nanoseconds(),
+			AllocsOp: allocs,
+			Probes:   m.probes,
+			Answers:  m.answers,
+			Derived:  m.derived,
 		}
-		report.Rows = append(report.Rows, rows[:]...)
+		fmt.Printf("%-24s | %-8s | %12v | %9d | %9d | %7d | %d\n",
+			row.Workload, row.Engine, time.Duration(row.NsOp).Round(time.Microsecond),
+			row.AllocsOp, row.Probes, row.Answers, row.Derived)
+		report.Rows = append(report.Rows, row)
 	}
 	if *outPath != "" {
 		data, err := json.MarshalIndent(report, "", "  ")

@@ -1,6 +1,6 @@
 package main
 
-// P6: join-order policies of the compiled engine — greedy (static,
+// P6: join-order policies of the engine — greedy (static,
 // most-bound-first), cost (per-round orders from maintained relation
 // statistics), adaptive (cost orders plus run-time reordering and
 // empty-subgoal skips). Same programs, same databases, Workers fixed

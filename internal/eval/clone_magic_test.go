@@ -1,13 +1,12 @@
 package eval
 
-// Regression tests for the DB.Clone / lazy-index / interner audit
-// behind goal-directed evaluation: a magic-rewritten program evaluates
+// Regression tests for the DB.Clone / interner audit behind
+// goal-directed evaluation: a magic-rewritten program evaluates
 // against the same EDB as the bottom-up run (often interleaved with
 // it, and with clones of it), so evaluation must never mutate the
-// input database, clones must not share lazy index state with their
-// source, and the compiled engine's term interner must be private to
-// each evaluation rather than accumulating across the original and
-// rewritten programs.
+// input database, clones must not share state with their source, and
+// the engine's term interner must be private to each evaluation rather
+// than accumulating across the original and rewritten programs.
 
 import (
 	"context"
@@ -39,23 +38,20 @@ func TestMagicSharedDBRepeatable(t *testing.T) {
 	var want []string
 	for round := 0; round < 3; round++ {
 		for _, mode := range []MagicMode{MagicOff, MagicAuto} {
-			for _, compile := range []bool{false, true} {
-				opts := DefaultOptions()
-				opts.CompilePlans = compile
-				opts.Magic = mode
-				tuples, _, err := QueryCtx(context.Background(), p, db, opts)
-				if err != nil {
-					t.Fatalf("round %d mode %s compile %v: %v", round, mode, compile, err)
-				}
-				got := answerSet(tuples)
-				if want == nil {
-					want = got
-					continue
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("round %d mode %s compile %v: answers drifted\n got %v\nwant %v",
-						round, mode, compile, got, want)
-				}
+			opts := DefaultOptions()
+			opts.Magic = mode
+			tuples, _, err := QueryCtx(context.Background(), p, db, opts)
+			if err != nil {
+				t.Fatalf("round %d mode %s: %v", round, mode, err)
+			}
+			got := answerSet(tuples)
+			if want == nil {
+				want = got
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d mode %s: answers drifted\n got %v\nwant %v",
+					round, mode, got, want)
 			}
 		}
 	}
@@ -67,12 +63,11 @@ func TestMagicSharedDBRepeatable(t *testing.T) {
 	}
 }
 
-// TestCloneIndependentAfterLazyIndexes: force lazy index construction
-// on the source via an indexed evaluation, then clone, mutate the
-// clone, and check the two databases answer independently — the clone
-// must not inherit (or corrupt) the source's indexes, and the source's
-// incremental index maintenance must not observe the clone's adds.
-func TestCloneIndependentAfterLazyIndexes(t *testing.T) {
+// TestCloneIndependentAfterEval: evaluate over the source, then clone,
+// mutate the clone, and check the two databases answer independently
+// — the clone must not share tuples or membership state with its
+// source in either direction.
+func TestCloneIndependentAfterEval(t *testing.T) {
 	p, db := tcPointQuery(t)
 	opts := DefaultOptions()
 	baseTuples, _, err := QueryCtx(context.Background(), p, db, opts)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/eval/evalref"
 	"repro/internal/parser"
 )
 
@@ -16,7 +17,8 @@ import (
 
 // engineRun captures everything observable from one evaluation:
 // relations (as sorted fact strings per predicate), Stats, and the
-// rendered derivation tree of every query answer.
+// rendered derivation tree of every derived fact. Every tree is also
+// checked for soundness against the program and the EDB.
 type engineRun struct {
 	preds map[string][]string
 	stats Stats
@@ -38,59 +40,75 @@ func runEngine(t *testing.T, p *ast.Program, db *DB, opts Options) engineRun {
 			if err != nil {
 				t.Fatalf("opts %+v: no derivation for %s: %v", opts, f, err)
 			}
+			if err := checkDerivation(p, db, d); err != nil {
+				t.Fatalf("opts %+v: unsound derivation of %s: %v\n%s", opts, f, err, d)
+			}
 			out.prov += d.String()
 		}
 	}
 	return out
 }
 
-// requireCompiledIdentical runs the legacy and compiled engines over
-// every (Workers, Seminaive, UseIndex) combination and asserts the
-// answers, Stats, and provenance are bit-identical pairwise.
-func requireCompiledIdentical(t *testing.T, label string, p *ast.Program, db *DB) {
+// requireReference asserts that a run's relations are exactly the
+// reference evaluator's least model.
+func requireReference(t *testing.T, label string, p *ast.Program, db *DB, preds map[string][]string) {
 	t.Helper()
-	for _, seminaive := range []bool{true, false} {
-		for _, useIndex := range []bool{true, false} {
-			for _, workers := range []int{1, 4} {
-				base := Options{Seminaive: seminaive, UseIndex: useIndex, Workers: workers}
-				legacy := base
-				compiled := base
-				compiled.CompilePlans = true
-				lr := runEngine(t, p, db, legacy)
-				cr := runEngine(t, p, db, compiled)
-				ctx := fmt.Sprintf("%s (seminaive=%v index=%v workers=%d)", label, seminaive, useIndex, workers)
-				if !lr.stats.Equal(&cr.stats) {
-					t.Fatalf("%s: stats differ:\nlegacy   %+v\ncompiled %+v", ctx, lr.stats, cr.stats)
-				}
-				if !reflect.DeepEqual(lr.preds, cr.preds) {
-					t.Fatalf("%s: relations differ:\nlegacy   %v\ncompiled %v", ctx, lr.preds, cr.preds)
-				}
-				if lr.prov != cr.prov {
-					t.Fatalf("%s: provenance differs:\nlegacy:\n%s\ncompiled:\n%s", ctx, lr.prov, cr.prov)
-				}
-			}
-		}
+	if want := evalref.Eval(p, db); !reflect.DeepEqual(preds, want) {
+		t.Fatalf("%s: answers differ from the reference evaluator:\ngot  %v\nwant %v", label, preds, want)
 	}
 }
 
-// plansAllStatic reports whether every plan of p keeps the legacy
-// static join order (greedy coincides with it). When true the
-// engines must agree bit-identically on Stats; when false only the
-// answers are comparable across engines.
-func plansAllStatic(p *ast.Program) bool {
-	idb := p.IDB()
-	in := newInterner()
-	for i, r := range p.Rules {
-		if !compilePlan(in, idb, r, i, -1).staticOrder {
-			return false
-		}
-		for occ, a := range r.Pos {
-			if idb[a.Pred] && !compilePlan(in, idb, r, i, occ).staticOrder {
-				return false
+// withoutProbes returns s with JoinProbes cleared: scanning instead of
+// probing an index changes how many candidates are examined, never
+// which rows match or in what order.
+func withoutProbes(s Stats) *Stats {
+	s.JoinProbes = 0
+	return &s
+}
+
+// requireEngineGrid runs the engine over every (Workers, Scan)
+// combination: answers must equal the reference evaluator's; Stats
+// and provenance must be bit-identical across worker counts; and the
+// scan path must match the indexed path in everything but JoinProbes.
+func requireEngineGrid(t *testing.T, label string, p *ast.Program, db *DB) {
+	t.Helper()
+	var indexed engineRun
+	for _, scan := range []bool{false, true} {
+		var first engineRun
+		for i, workers := range []int{1, 4} {
+			r := runEngine(t, p, db, Options{Scan: scan, Workers: workers})
+			ctx := fmt.Sprintf("%s (scan=%v workers=%d)", label, scan, workers)
+			if i == 0 {
+				if !scan {
+					requireReference(t, ctx, p, db, r.preds)
+				}
+				first = r
+				continue
+			}
+			if !r.stats.Equal(&first.stats) {
+				t.Fatalf("%s: stats vary with workers:\n%+v\nvs\n%+v", ctx, first.stats, r.stats)
+			}
+			if r.prov != first.prov {
+				t.Fatalf("%s: provenance varies with workers:\n%s\nvs\n%s", ctx, first.prov, r.prov)
 			}
 		}
+		if !scan {
+			indexed = first
+			continue
+		}
+		if !reflect.DeepEqual(first.preds, indexed.preds) {
+			t.Fatalf("%s: scan answers differ from indexed", label)
+		}
+		if !withoutProbes(first.stats).Equal(withoutProbes(indexed.stats)) {
+			t.Fatalf("%s: scan stats differ from indexed beyond probes:\n%+v\nvs\n%+v", label, first.stats, indexed.stats)
+		}
+		if first.stats.JoinProbes < indexed.stats.JoinProbes {
+			t.Fatalf("%s: scan probed less than the index (%d < %d)", label, first.stats.JoinProbes, indexed.stats.JoinProbes)
+		}
+		if first.prov != indexed.prov {
+			t.Fatalf("%s: scan provenance differs from indexed", label)
+		}
 	}
-	return true
 }
 
 // --- named workloads ------------------------------------------------------
@@ -101,10 +119,7 @@ func TestCompiledDifferentialTransClosure(t *testing.T) {
 		path(X, Y) :- step(X, Z), path(Z, Y).
 		?- path.
 	`)
-	if !plansAllStatic(p) {
-		t.Fatal("greedy order diverges from static on transitive closure")
-	}
-	requireCompiledIdentical(t, "trans closure", p, chainEDB(40))
+	requireEngineGrid(t, "trans closure", p, chainEDB(40))
 }
 
 func TestCompiledDifferentialGoodPath(t *testing.T) {
@@ -117,10 +132,7 @@ func TestCompiledDifferentialGoodPath(t *testing.T) {
 	db := chainEDB(30)
 	db.AddFact(ast.NewAtom("startPoint", ast.N(3)))
 	db.AddFact(ast.NewAtom("endPoint", ast.N(20)))
-	if !plansAllStatic(p) {
-		t.Fatal("greedy order diverges from static on goodPath")
-	}
-	requireCompiledIdentical(t, "goodPath", p, db)
+	requireEngineGrid(t, "goodPath", p, db)
 }
 
 func TestCompiledDifferentialMultiRule(t *testing.T) {
@@ -141,16 +153,12 @@ func TestCompiledDifferentialMultiRule(t *testing.T) {
 		db.AddFact(ast.NewAtom("edge", ast.N(float64(i)), ast.N(float64((i*3)%10))))
 	}
 	db.AddFact(ast.NewAtom("blocked", ast.N(3)))
-	if !plansAllStatic(p) {
-		t.Fatal("greedy order diverges from static on multi-rule")
-	}
-	requireCompiledIdentical(t, "multi-rule", p, db)
+	requireEngineGrid(t, "multi-rule", p, db)
 }
 
 func TestCompiledDifferentialEdgeCases(t *testing.T) {
 	// Zero-ary predicates, constants in heads and bodies, repeated
-	// variables, negation on an absent relation — every structural edge
-	// the legacy engine handles.
+	// variables, negation on an absent relation.
 	p := parser.MustParseProgram(`
 		halt :- reach(X), final(X).
 		reach(X) :- start(X).
@@ -164,7 +172,7 @@ func TestCompiledDifferentialEdgeCases(t *testing.T) {
 	db.AddFact(ast.NewAtom("final", ast.N(5)))
 	db.AddFact(ast.NewAtom("selfstep", ast.N(2), ast.N(2)))
 	db.AddFact(ast.NewAtom("selfstep", ast.N(2), ast.N(3)))
-	requireCompiledIdentical(t, "edge cases", p, db)
+	requireEngineGrid(t, "edge cases", p, db)
 }
 
 func TestCompiledZeroSubgoalRules(t *testing.T) {
@@ -181,7 +189,7 @@ func TestCompiledZeroSubgoalRules(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	requireCompiledIdentical(t, "zero-subgoal", p, NewDB())
+	requireEngineGrid(t, "zero-subgoal", p, NewDB())
 	idb, _, err := Eval(p, NewDB())
 	if err != nil {
 		t.Fatal(err)
@@ -192,16 +200,16 @@ func TestCompiledZeroSubgoalRules(t *testing.T) {
 }
 
 // TestCompiledGreedyReorder pins a workload where the greedy planner
-// genuinely reorders (a constant-bearing subgoal moves first): the
-// compiled engine must still produce the same answers as legacy, and
-// its Stats must stay worker-invariant.
+// genuinely reorders (a constant-bearing subgoal moves first): answers
+// must still match the reference, and Stats must stay
+// worker-invariant.
 func TestCompiledGreedyReorder(t *testing.T) {
 	p := parser.MustParseProgram(`
 		out(X, Y) :- e(X, Y), f(Y, 3).
 		?- out.
 	`)
-	if plansAllStatic(p) {
-		t.Fatal("expected greedy order to diverge (f has a constant)")
+	if got := greedyJoinOrder(p.Rules[0], -1); !reflect.DeepEqual(got, []int{1, 0}) {
+		t.Fatalf("expected greedy order to pull f first, got %v", got)
 	}
 	rng := rand.New(rand.NewSource(11))
 	db := NewDB()
@@ -209,33 +217,14 @@ func TestCompiledGreedyReorder(t *testing.T) {
 		db.AddFact(ast.NewAtom("e", ast.N(float64(rng.Intn(10))), ast.N(float64(rng.Intn(10)))))
 		db.AddFact(ast.NewAtom("f", ast.N(float64(rng.Intn(10))), ast.N(float64(rng.Intn(5)))))
 	}
-	legacyIDB, _, err := EvalWith(p, db, Options{Seminaive: true, UseIndex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats []*Stats
-	for _, w := range []int{1, 4} {
-		idb, st, err := EvalWith(p, db, Options{Seminaive: true, UseIndex: true, CompilePlans: true, Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(idb.SortedFacts("out"), legacyIDB.SortedFacts("out")) {
-			t.Fatalf("workers=%d: answers differ from legacy", w)
-		}
-		stats = append(stats, st)
-	}
-	if !stats[0].Equal(stats[1]) {
-		t.Fatalf("compiled stats vary with workers: %+v vs %+v", *stats[0], *stats[1])
-	}
+	requireEngineGrid(t, "greedy reorder", p, db)
 }
 
 // --- randomized programs --------------------------------------------------
 
 // TestCompiledDifferentialRandomPrograms generates random programs
 // (random rule subsets, constants, comparisons, negation) over random
-// databases. Answers must always match the legacy engine; whenever the
-// greedy order coincides with the static order, Stats and provenance
-// must be bit-identical too.
+// databases and runs each through the engine grid.
 func TestCompiledDifferentialRandomPrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	extras := []string{
@@ -247,56 +236,46 @@ func TestCompiledDifferentialRandomPrograms(t *testing.T) {
 		"v(X, Z) :- p(X, Y), p(Y, Z), X != Z.\n",
 	}
 	for trial := 0; trial < 12; trial++ {
-		src := "p(X, Y) :- e(X, Y).\np(X, Z) :- e(X, Y), p(Y, Z).\n"
-		for _, ex := range extras {
-			if rng.Intn(2) == 0 {
-				continue
-			}
-			for {
-				i := indexByte(ex, '%')
-				if i < 0 {
-					break
-				}
-				ex = ex[:i] + fmt.Sprintf("%d", rng.Intn(5)) + ex[i+2:]
-			}
-			src += ex
-		}
-		src += "?- p.\n"
-		p, err := parser.ParseProgram(src)
-		if err != nil {
-			t.Fatalf("trial %d: %v\n%s", trial, err, src)
-		}
-		db := NewDB()
-		n := 4 + rng.Intn(5)
-		for i := 0; i < n*3; i++ {
-			db.AddFact(ast.NewAtom("e", ast.N(float64(rng.Intn(n))), ast.N(float64(rng.Intn(n)))))
-			db.AddFact(ast.NewAtom("f", ast.N(float64(rng.Intn(n))), ast.N(float64(rng.Intn(5)))))
-		}
-		for i := 0; i < n; i++ {
-			if rng.Intn(3) == 0 {
-				db.AddFact(ast.NewAtom("g", ast.N(float64(i))))
-			}
-		}
-		if plansAllStatic(p) {
-			requireCompiledIdentical(t, fmt.Sprintf("random trial %d", trial), p, db)
+		p, db := randomProgram(t, rng, extras, trial)
+		requireEngineGrid(t, fmt.Sprintf("random trial %d", trial), p, db)
+	}
+}
+
+// randomProgram builds transitive closure plus a random subset of
+// extras (each %c replaced by a small constant) over a random database.
+func randomProgram(t *testing.T, rng *rand.Rand, extras []string, trial int) (*ast.Program, *DB) {
+	t.Helper()
+	src := "p(X, Y) :- e(X, Y).\np(X, Z) :- e(X, Y), p(Y, Z).\n"
+	for _, ex := range extras {
+		if rng.Intn(2) == 0 {
 			continue
 		}
-		// Reordered plans: require identical answers and per-engine
-		// worker-invariant stats.
-		legacy := runEngine(t, p, db, Options{Seminaive: true, UseIndex: true})
-		var prev *engineRun
-		for _, w := range []int{1, 4} {
-			cr := runEngine(t, p, db, Options{Seminaive: true, UseIndex: true, CompilePlans: true, Workers: w})
-			if !reflect.DeepEqual(cr.preds, legacy.preds) {
-				t.Fatalf("trial %d workers=%d: answers differ from legacy\n%s", trial, w, src)
+		for {
+			i := indexByte(ex, '%')
+			if i < 0 {
+				break
 			}
-			if prev != nil && (!cr.stats.Equal(&prev.stats) || cr.prov != prev.prov) {
-				t.Fatalf("trial %d: compiled run varies with workers\n%s", trial, src)
-			}
-			c := cr
-			prev = &c
+			ex = ex[:i] + fmt.Sprintf("%d", rng.Intn(5)) + ex[i+2:]
+		}
+		src += ex
+	}
+	src += "?- p.\n"
+	p, err := parser.ParseProgram(src)
+	if err != nil {
+		t.Fatalf("trial %d: %v\n%s", trial, err, src)
+	}
+	db := NewDB()
+	n := 4 + rng.Intn(5)
+	for i := 0; i < n*3; i++ {
+		db.AddFact(ast.NewAtom("e", ast.N(float64(rng.Intn(n))), ast.N(float64(rng.Intn(n)))))
+		db.AddFact(ast.NewAtom("f", ast.N(float64(rng.Intn(n))), ast.N(float64(rng.Intn(5)))))
+	}
+	for i := 0; i < n; i++ {
+		if rng.Intn(3) == 0 {
+			db.AddFact(ast.NewAtom("g", ast.N(float64(i))))
 		}
 	}
+	return p, db
 }
 
 func indexByte(s string, b byte) int {
@@ -308,29 +287,7 @@ func indexByte(s string, b byte) int {
 	return -1
 }
 
-// --- budget and cancellation parity --------------------------------------
-
-func TestCompiledBudgetParity(t *testing.T) {
-	p := parser.MustParseProgram(`
-		path(X, Y) :- step(X, Y).
-		path(X, Y) :- step(X, Z), path(Z, Y).
-		?- path.
-	`)
-	db := chainEDB(100)
-	for _, w := range []int{1, 4} {
-		legacy := Options{Seminaive: true, UseIndex: true, MaxTuples: 50, Workers: w}
-		compiled := legacy
-		compiled.CompilePlans = true
-		_, _, lerr := EvalWith(p, db, legacy)
-		_, _, cerr := EvalWith(p, db, compiled)
-		if !errors.Is(lerr, ErrBudget) || !errors.Is(cerr, ErrBudget) {
-			t.Fatalf("workers=%d: expected budget errors, got %v / %v", w, lerr, cerr)
-		}
-		if lerr.Error() != cerr.Error() {
-			t.Fatalf("workers=%d: error text differs: %q vs %q", w, lerr, cerr)
-		}
-	}
-}
+// --- cancellation -------------------------------------------------------
 
 func TestCompiledCancellation(t *testing.T) {
 	p := parser.MustParseProgram(`
@@ -453,8 +410,8 @@ func TestGreedyJoinOrder(t *testing.T) {
 		tri(X, Y, Z) :- e(X, Y), e(Y, Z), e(Z, X).
 		?- tri.
 	`).Rules[0]
-	// No constants anywhere: ties break to the lowest index, i.e. the
-	// legacy static order.
+	// No constants anywhere: ties break to the lowest index, i.e. rule
+	// order.
 	if got := greedyJoinOrder(r2, -1); !reflect.DeepEqual(got, []int{0, 1, 2}) {
 		t.Fatalf("tie-break must keep static order: %v", got)
 	}

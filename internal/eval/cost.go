@@ -27,21 +27,29 @@ type relEstimate struct {
 	distinct []int // per column; nil when n == 0
 }
 
-// irelEstimate snapshots an interned relation (nil-safe).
-func irelEstimate(rel *irel) relEstimate {
-	if rel == nil || rel.n == 0 {
+// estimate snapshots a view's statistics: the row count is the
+// prefix length, distinct estimates come from the backing relation's
+// sketches (a full-relation approximation of a prefix; slack the cost
+// model tolerates).
+func (v view) estimate() relEstimate {
+	if v.hi == 0 {
 		return relEstimate{}
 	}
-	d := make([]int, rel.arity)
+	d := make([]int, v.r.arity)
 	for j := range d {
-		d[j] = rel.distinct(j)
+		d[j] = v.r.distinct(j)
 	}
-	return relEstimate{n: rel.n, distinct: d}
+	return relEstimate{n: v.hi, distinct: d}
 }
 
 // estFunc resolves the statistics of a subgoal (by index into
 // Rule.Pos) at planning time.
 type estFunc func(subIdx int) relEstimate
+
+// viewsEstimate resolves subgoal statistics from per-subgoal views.
+func viewsEstimate(views []view) estFunc {
+	return func(si int) relEstimate { return views[si].estimate() }
+}
 
 // costJoinOrder orders the subgoals of r greedily by minimum estimated
 // match count under the model above. first pins a subgoal to depth 0

@@ -10,7 +10,8 @@ package eval
 // storage (IRel) and decides, per run, which version of each relation
 // every subgoal reads (RelView prefix snapshots); that per-subgoal
 // old/new freedom is exactly what the counting and DRed delta passes
-// need and what the in-engine evaluators never expose.
+// need. Every run goes through the package's one plan executor
+// (join.go), with the caller's views and emit callback.
 
 import (
 	"context"
@@ -64,11 +65,11 @@ func CompileDeltaProgram(p *ast.Program) (*DeltaProgram, error) {
 		headPlans: make([]*plan, len(p.Rules)),
 	}
 	for i, r := range p.Rules {
-		dp.plans[planKey{i, -1}] = compilePlan(dp.in, dp.idbPr, r, i, -1)
+		dp.plans[planKey{i, -1}] = compilePlan(dp.in, r, i, -1)
 		for occ := range r.Pos {
-			dp.plans[planKey{i, occ}] = compilePlan(dp.in, dp.idbPr, r, i, occ)
+			dp.plans[planKey{i, occ}] = compilePlan(dp.in, r, i, occ)
 		}
-		dp.headPlans[i] = compilePlanBound(dp.in, dp.idbPr, r, i, -1, true)
+		dp.headPlans[i] = compilePlanBound(dp.in, r, i, -1, true)
 	}
 	return dp, nil
 }
@@ -149,12 +150,14 @@ func (v RelView) Len() int {
 // Contains reports membership within the prefix in O(1): the backing
 // hash set stores row indexes, so a hit beyond Hi is a row appended
 // after the snapshot and reads as absent.
-func (v RelView) Contains(row []uint32) bool {
-	if v.Rel == nil || v.Hi == 0 {
-		return false
+func (v RelView) Contains(row []uint32) bool { return v.view().contains(row) }
+
+// view converts the snapshot to the executor's representation.
+func (v RelView) view() view {
+	if v.Rel == nil {
+		return view{}
 	}
-	idx := v.Rel.r.set.findIdx(row)
-	return idx >= 0 && int(idx) < v.Hi
+	return view{r: v.Rel.r, hi: v.Hi}
 }
 
 // Row returns row i of the snapshot (caller must not modify).
@@ -194,38 +197,41 @@ func (dp *DeltaProgram) Atom(pred string, row []uint32) ast.Atom {
 	return ast.Atom{Pred: pred, Args: dp.Tuple(row)}
 }
 
-// dRun is the delta-plan executor: cTaskRun with caller-supplied
-// per-subgoal views instead of engine-owned snapshot relations, and an
-// emit callback instead of an output buffer (delta passes want every
-// firing, with the caller deciding dedup and counting semantics).
-type dRun struct {
-	dp        *DeltaProgram
-	ctx       context.Context
-	pl        *plan
-	subs      []RelView // indexed by subgoal index (subPlan.subIdx)
-	negs      func(string) RelView
-	emit      func([]uint32) error
-	binding   []uint32
-	probeBufs [][]uint32
-	negBuf    []uint32
-	headBuf   []uint32
-	probes    int64
-}
-
-func (dp *DeltaProgram) newRun(ctx context.Context, pl *plan, subs []RelView, negs func(string) RelView, emit func([]uint32) error) *dRun {
-	tr := &dRun{dp: dp, ctx: ctx, pl: pl, subs: subs, negs: negs, emit: emit}
-	tr.binding = make([]uint32, pl.nSlots)
-	tr.probeBufs = make([][]uint32, len(pl.subs))
-	for i := range pl.subs {
-		if n := len(pl.subs[i].boundPos); n > 0 {
-			tr.probeBufs[i] = make([]uint32, n)
+// exec prepares one delta run of rule ruleIdx under plan pl: the
+// caller's views become the executor's, and each negated subgoal is
+// resolved once through negs (nil negs reads every negated instance as
+// absent).
+func (dp *DeltaProgram) exec(ctx context.Context, ruleIdx int, pl *plan, subs []RelView, negs func(string) RelView, emit func([]uint32) error) (*planExec, error) {
+	r := dp.prog.Rules[ruleIdx]
+	if got, want := len(subs), len(r.Pos); got != want {
+		return nil, fmt.Errorf("eval: rule %d has %d subgoals, got %d views", ruleIdx, want, got)
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	views := make([]view, len(subs))
+	for i, v := range subs {
+		views[i] = v.view()
+	}
+	negViews := make([]view, len(r.Neg))
+	if negs != nil {
+		for i, a := range r.Neg {
+			negViews[i] = negs(a.Pred).view()
 		}
 	}
-	if pl.maxNegArity > 0 {
-		tr.negBuf = make([]uint32, pl.maxNegArity)
+	x := &planExec{}
+	x.init(ctx, dp.in, pl, views, negViews, emitFunc(emit))
+	return x, nil
+}
+
+// run executes one delta run, returning its probe count.
+func (dp *DeltaProgram) run(ctx context.Context, ruleIdx int, pl *plan, subs []RelView, negs func(string) RelView, emit func([]uint32) error) (int64, error) {
+	x, err := dp.exec(ctx, ruleIdx, pl, subs, negs, emit)
+	if err != nil {
+		return 0, err
 	}
-	tr.headBuf = make([]uint32, len(pl.head.isConst))
-	return tr
+	err = x.joinFrom(0)
+	return x.probes, err
 }
 
 // RunDelta evaluates rule ruleIdx with subgoal occ (by subgoal index;
@@ -240,19 +246,11 @@ func (dp *DeltaProgram) newRun(ctx context.Context, pl *plan, subs []RelView, ne
 // Emitting may append to the very relations being read: views bound
 // the iteration to their frozen prefix.
 func (dp *DeltaProgram) RunDelta(ctx context.Context, ruleIdx, occ int, subs []RelView, negs func(string) RelView, emit func([]uint32) error) (int64, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	pl, ok := dp.plans[planKey{ruleIdx, occ}]
 	if !ok {
 		return 0, fmt.Errorf("eval: no plan for rule %d occurrence %d", ruleIdx, occ)
 	}
-	if got, want := len(subs), len(dp.prog.Rules[ruleIdx].Pos); got != want {
-		return 0, fmt.Errorf("eval: rule %d has %d subgoals, got %d views", ruleIdx, want, got)
-	}
-	tr := dp.newRun(ctx, pl, subs, negs, emit)
-	err := tr.joinFrom(0)
-	return tr.probes, err
+	return dp.run(ctx, ruleIdx, pl, subs, negs, emit)
 }
 
 // RunDeltaPolicy is RunDelta under a join-order policy. Greedy (or "")
@@ -272,9 +270,6 @@ func (dp *DeltaProgram) RunDeltaPolicy(ctx context.Context, ruleIdx, occ int, po
 	if policy == "" || policy == PolicyGreedy {
 		return dp.RunDelta(ctx, ruleIdx, occ, subs, negs, emit)
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	base, ok := dp.plans[planKey{ruleIdx, occ}]
 	if !ok {
 		return 0, fmt.Errorf("eval: no plan for rule %d occurrence %d", ruleIdx, occ)
@@ -290,27 +285,12 @@ func (dp *DeltaProgram) RunDeltaPolicy(ctx context.Context, ruleIdx, occ int, po
 			}
 		}
 	}
-	order, _ := costJoinOrder(r, occ, func(si int) relEstimate { return viewEstimate(subs[si]) }, nil)
+	order, _ := costJoinOrder(r, occ, func(si int) relEstimate { return subs[si].view().estimate() }, nil)
 	pl := base
 	if !intsEqual(order, base.order) {
 		pl = dp.planForOrder(ruleIdx, occ, order)
 	}
-	tr := dp.newRun(ctx, pl, subs, negs, emit)
-	err := tr.joinFrom(0)
-	return tr.probes, err
-}
-
-// viewEstimate snapshots a view's statistics for the cost model.
-func viewEstimate(v RelView) relEstimate {
-	if v.Rel == nil || v.Hi == 0 {
-		return relEstimate{}
-	}
-	rel := v.Rel.r
-	d := make([]int, rel.arity)
-	for j := range d {
-		d[j] = rel.distinct(j)
-	}
-	return relEstimate{n: v.Hi, distinct: d}
+	return dp.run(ctx, ruleIdx, pl, subs, negs, emit)
 }
 
 // planForOrder returns the cached plan for a cost-chosen order,
@@ -334,7 +314,7 @@ func (dp *DeltaProgram) planForOrder(ruleIdx, occ int, order []int) *plan {
 	if pl := m[sig]; pl != nil {
 		return pl
 	}
-	pl := compilePlanOrdered(dp.in, dp.idbPr, dp.prog.Rules[ruleIdx], ruleIdx, occ, false, order)
+	pl := compilePlanOrdered(dp.in, dp.prog.Rules[ruleIdx], ruleIdx, occ, false, order)
 	m[sig] = pl
 	return pl
 }
@@ -346,15 +326,11 @@ func (dp *DeltaProgram) planForOrder(ruleIdx, occ int, order []int) *plan {
 // join explores only instantiations that could derive exactly this
 // row. Probe count is returned for accounting.
 func (dp *DeltaProgram) Derivable(ctx context.Context, ruleIdx int, head []uint32, subs []RelView, negs func(string) RelView) (bool, int64, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	pl := dp.headPlans[ruleIdx]
-	if got, want := len(subs), len(dp.prog.Rules[ruleIdx].Pos); got != want {
-		return false, 0, fmt.Errorf("eval: rule %d has %d subgoals, got %d views", ruleIdx, want, got)
+	x, err := dp.exec(ctx, ruleIdx, pl, subs, negs, func([]uint32) error { return errStopRun })
+	if err != nil {
+		return false, 0, err
 	}
-	tr := dp.newRun(ctx, pl, subs, negs, nil)
-	tr.emit = func([]uint32) error { return errStopRun }
 	// Seed the binding from the candidate row: constants must match
 	// outright; variable slots take the row's value, and a second pass
 	// catches repeated head variables whose positions disagree (the
@@ -366,156 +342,17 @@ func (dp *DeltaProgram) Derivable(ctx context.Context, ruleIdx int, head []uint3
 				return false, 0, nil
 			}
 		} else {
-			tr.binding[pl.head.vals[j]] = head[j]
+			x.binding[pl.head.vals[j]] = head[j]
 		}
 	}
 	for j, c := range pl.head.isConst {
-		if !c && tr.binding[pl.head.vals[j]] != head[j] {
+		if !c && x.binding[pl.head.vals[j]] != head[j] {
 			return false, 0, nil
 		}
 	}
-	err := tr.joinFrom(0)
+	err = x.joinFrom(0)
 	if err == errStopRun {
-		return true, tr.probes, nil
+		return true, x.probes, nil
 	}
-	return false, tr.probes, err
-}
-
-// joinFrom mirrors cTaskRun.joinFrom over caller views: iteration is
-// clamped to each view's prefix on both the index path (chains are in
-// ascending row order, so the first out-of-prefix candidate ends the
-// chain) and the scan path. Indexes are always used when the plan is
-// indexable — delta passes have no ablation knob.
-func (tr *dRun) joinFrom(depth int) error {
-	pl := tr.pl
-	if depth == len(pl.subs) {
-		return tr.finish()
-	}
-	sp := &pl.subs[depth]
-	v := tr.subs[sp.subIdx]
-	if v.Rel == nil || v.Hi == 0 {
-		return nil
-	}
-	rel := v.Rel.r
-	if sp.indexable && len(sp.boundPos) > 0 {
-		vals := tr.probeBufs[depth]
-		for k, c := range sp.boundConst {
-			if c {
-				vals[k] = sp.boundVal[k]
-			} else {
-				vals[k] = tr.binding[sp.boundVal[k]]
-			}
-		}
-		ix := rel.index(sp.mask, sp.boundPos)
-		for ri := ix.lookup(rel, vals); ri >= 0; ri = ix.next[ri] {
-			if int(ri) >= v.Hi {
-				break // ascending chain: everything further is post-snapshot
-			}
-			if err := tr.tryRow(depth, rel.row(int(ri)), false); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for i := 0; i < v.Hi; i++ {
-		if err := tr.tryRow(depth, rel.row(i), true); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (tr *dRun) tryRow(depth int, row []uint32, verify bool) error {
-	tr.probes++
-	if tr.probes&cancelPollMask == 0 {
-		if err := tr.ctx.Err(); err != nil {
-			return err
-		}
-	}
-	sp := &tr.pl.subs[depth]
-	if verify {
-		for k, p := range sp.boundPos {
-			want := sp.boundVal[k]
-			if !sp.boundConst[k] {
-				want = tr.binding[want]
-			}
-			if row[p] != want {
-				return nil
-			}
-		}
-	}
-	for k, p := range sp.bindPos {
-		tr.binding[sp.bindSlot[k]] = row[p]
-	}
-	for k, p := range sp.checkPos {
-		if row[p] != tr.binding[sp.checkSlot[k]] {
-			return nil
-		}
-	}
-	for i := range sp.cmps {
-		if !tr.evalCmp(&sp.cmps[i]) {
-			return nil
-		}
-	}
-	for i := range sp.negs {
-		if tr.negContains(&sp.negs[i]) {
-			return nil
-		}
-	}
-	return tr.joinFrom(depth + 1)
-}
-
-func (tr *dRun) evalCmp(c *cmpPlan) bool {
-	l, r := c.l, c.r
-	if !c.lConst {
-		l = tr.binding[l]
-	}
-	if !c.rConst {
-		r = tr.binding[r]
-	}
-	switch c.op {
-	case ast.EQ:
-		return l == r
-	case ast.NE:
-		return l != r
-	}
-	return ast.NewCmp(tr.dp.in.term(l), c.op, tr.dp.in.term(r)).Eval()
-}
-
-func (tr *dRun) negContains(tpl *atomTpl) bool {
-	if tr.negs == nil {
-		return false
-	}
-	buf := tr.negBuf[:len(tpl.isConst)]
-	for j, c := range tpl.isConst {
-		if c {
-			buf[j] = tpl.vals[j]
-		} else {
-			buf[j] = tr.binding[tpl.vals[j]]
-		}
-	}
-	return tr.negs(tpl.pred).Contains(buf)
-}
-
-func (tr *dRun) finish() error {
-	pl := tr.pl
-	for i := range pl.finishCmps {
-		if !tr.evalCmp(&pl.finishCmps[i]) {
-			return nil
-		}
-	}
-	for i := range pl.finishNegs {
-		if tr.negContains(&pl.finishNegs[i]) {
-			return nil
-		}
-	}
-	row := tr.headBuf
-	for j, c := range pl.head.isConst {
-		if c {
-			row[j] = pl.head.vals[j]
-		} else {
-			row[j] = tr.binding[pl.head.vals[j]]
-		}
-	}
-	return tr.emit(row)
+	return false, x.probes, err
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -56,7 +57,7 @@ func requireIdentical(t *testing.T, label string, workers []int, idbs []*DB, sta
 // TestParallelMatchesSequentialRandomGraphs is the engine-level
 // differential test: on random graphs, parallel evaluation must return
 // byte-identical relations AND byte-identical Stats for every worker
-// count, in both semi-naive and naive mode, indexed and scanned.
+// count, indexed and scanned.
 func TestParallelMatchesSequentialRandomGraphs(t *testing.T) {
 	prog := parser.MustParseProgram(`
 		path(X, Y) :- edge(X, Y).
@@ -74,11 +75,7 @@ func TestParallelMatchesSequentialRandomGraphs(t *testing.T) {
 			db.AddFact(ast.NewAtom("edge",
 				ast.N(float64(rng.Intn(n))), ast.N(float64(rng.Intn(n)))))
 		}
-		for _, base := range []Options{
-			{Seminaive: true, UseIndex: true},
-			{Seminaive: true, UseIndex: false},
-			{Seminaive: false, UseIndex: true},
-		} {
+		for _, base := range []Options{{}, {Scan: true}} {
 			idbs, stats := evalAllWorkers(t, prog, db, base, workers)
 			requireIdentical(t, "random graph", workers, idbs, stats)
 		}
@@ -105,7 +102,7 @@ func TestParallelMultiRule(t *testing.T) {
 	}
 	db.AddFact(ast.NewAtom("blocked", ast.N(3)))
 	workers := []int{1, 2, 4, 8}
-	idbs, stats := evalAllWorkers(t, prog, db, Options{Seminaive: true, UseIndex: true}, workers)
+	idbs, stats := evalAllWorkers(t, prog, db, Options{}, workers)
 	requireIdentical(t, "multi-rule", workers, idbs, stats)
 	if idbs[0].Count("meet") == 0 || idbs[0].Count("joined") == 0 {
 		t.Fatal("sanity: expected non-empty results")
@@ -122,7 +119,7 @@ func TestParallelLargeChain(t *testing.T) {
 	`)
 	db := chainEDB(80)
 	workers := []int{1, 4}
-	idbs, stats := evalAllWorkers(t, prog, db, Options{Seminaive: true, UseIndex: true}, workers)
+	idbs, stats := evalAllWorkers(t, prog, db, Options{}, workers)
 	requireIdentical(t, "large chain", workers, idbs, stats)
 	if got := idbs[0].Count("path"); got != 80*79/2 {
 		t.Fatalf("path count = %d", got)
@@ -130,7 +127,8 @@ func TestParallelLargeChain(t *testing.T) {
 }
 
 // TestParallelMaxTuplesBudget: the budget guard must fire under
-// parallel evaluation too.
+// parallel evaluation too, with the same ErrBudget-wrapping error at
+// every worker count.
 func TestParallelMaxTuplesBudget(t *testing.T) {
 	prog := parser.MustParseProgram(`
 		path(X, Y) :- step(X, Y).
@@ -138,10 +136,16 @@ func TestParallelMaxTuplesBudget(t *testing.T) {
 		?- path.
 	`)
 	db := chainEDB(100)
+	var first error
 	for _, w := range []int{1, 4} {
-		_, _, err := EvalWith(prog, db, Options{Seminaive: true, UseIndex: true, MaxTuples: 50, Workers: w})
-		if err == nil {
-			t.Fatalf("workers=%d: expected budget error", w)
+		_, _, err := EvalWith(prog, db, Options{MaxTuples: 50, Workers: w})
+		if !errors.Is(err, ErrBudget) {
+			t.Fatalf("workers=%d: expected a budget error, got %v", w, err)
+		}
+		if first == nil {
+			first = err
+		} else if err.Error() != first.Error() {
+			t.Fatalf("workers=%d: error text %q differs from %q", w, err, first)
 		}
 	}
 }
@@ -161,7 +165,7 @@ func TestWorkersDefaultResolution(t *testing.T) {
 	`)
 	db := NewDB()
 	db.AddFact(ast.NewAtom("e", ast.N(1)))
-	idb, _, err := EvalWith(prog, db, Options{Seminaive: true, UseIndex: true, Workers: 0})
+	idb, _, err := EvalWith(prog, db, Options{Workers: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,28 +174,34 @@ func TestWorkersDefaultResolution(t *testing.T) {
 	}
 }
 
-// TestConcurrentLookupSameMask is the regression test for the lazy
+// TestConcurrentIndexSameMask is the regression test for the lazy
 // index build race: many goroutines probe the same un-indexed position
-// mask (and several others) on a shared relation. Run with -race.
-func TestConcurrentLookupSameMask(t *testing.T) {
-	r := NewRelation(2)
-	for i := 0; i < 2000; i++ {
-		r.Add(Tuple{ast.N(float64(i % 50)), ast.N(float64(i))})
+// mask (and several others) on a shared relation, as the tasks of one
+// round do. Run with -race.
+func TestConcurrentIndexSameMask(t *testing.T) {
+	r := newIrel(2, 0)
+	for i := uint32(0); i < 2000; i++ {
+		r.add([]uint32{i % 50, i})
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				if got := r.lookup([]int{0}, []ast.Term{ast.N(float64(i))}); len(got) != 40 {
-					t.Errorf("mask [0] val %d: %d ids, want 40", i, len(got))
+			for i := uint32(0); i < 50; i++ {
+				ix := r.index(1<<0, []int{0})
+				n := 0
+				for ri := ix.lookup(r, []uint32{i}); ri >= 0; ri = ix.next[ri] {
+					n++
+				}
+				if n != 40 {
+					t.Errorf("mask [0] val %d: %d rows, want 40", i, n)
 					return
 				}
-				_ = r.lookup([]int{1}, []ast.Term{ast.N(float64(i))})
-				_ = r.lookup([]int{0, 1}, []ast.Term{ast.N(float64(i % 50)), ast.N(float64(i))})
+				_ = r.index(1<<1, []int{1}).lookup(r, []uint32{i})
+				_ = r.index(1<<0|1<<1, []int{0, 1}).lookup(r, []uint32{i % 50, i})
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
 }
@@ -247,6 +257,6 @@ func TestPartitioningInvariance(t *testing.T) {
 			ast.N(float64(rng.Intn(40))), ast.N(float64(rng.Intn(40)))))
 	}
 	workers := []int{1, 2, 3, 5, 16, 64}
-	idbs, stats := evalAllWorkers(t, prog, db, Options{Seminaive: true, UseIndex: true}, workers)
+	idbs, stats := evalAllWorkers(t, prog, db, Options{}, workers)
 	requireIdentical(t, "partitioning", workers, idbs, stats)
 }

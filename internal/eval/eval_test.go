@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/eval/evalref"
 	"repro/internal/parser"
 )
 
@@ -63,31 +64,6 @@ func mustPanic(t *testing.T, f func()) {
 		}
 	}()
 	f()
-}
-
-func TestRelationIndexLookup(t *testing.T) {
-	r := NewRelation(2)
-	for i := 0; i < 10; i++ {
-		r.Add(Tuple{ast.N(float64(i % 3)), ast.N(float64(i))})
-	}
-	ids := r.lookup([]int{0}, []ast.Term{ast.N(1)})
-	if len(ids) != 4 { // i = 1, 4, 7 — wait: i%3==1 for 1,4,7 → 3 tuples... and i up to 9: 1,4,7 = 3
-		// recompute: i in 0..9 with i%3==1: 1,4,7 → 3 tuples.
-		if len(ids) != 3 {
-			t.Fatalf("lookup returned %d ids", len(ids))
-		}
-	}
-	// Index must be invalidated by Add.
-	r.Add(Tuple{ast.N(1), ast.N(100)})
-	ids = r.lookup([]int{0}, []ast.Term{ast.N(1)})
-	if len(ids) != 4 {
-		t.Fatalf("after add, lookup returned %d ids", len(ids))
-	}
-	// Compound index.
-	ids = r.lookup([]int{0, 1}, []ast.Term{ast.N(1), ast.N(100)})
-	if len(ids) != 1 {
-		t.Fatalf("compound lookup returned %d ids", len(ids))
-	}
 }
 
 func TestTransitiveClosure(t *testing.T) {
@@ -246,8 +222,9 @@ func TestRepeatedVariablesInSubgoal(t *testing.T) {
 }
 
 func TestNaiveSeminaiveIndexedAgree(t *testing.T) {
-	// Differential test over random graphs: all evaluator
-	// configurations must produce identical relations.
+	// Differential test over random graphs: the indexed and scanned
+	// engine configurations must both produce exactly the reference
+	// evaluator's naive least model.
 	prog := parser.MustParseProgram(`
 		path(X, Y) :- edge(X, Y).
 		path(X, Y) :- edge(X, Z), path(Z, Y).
@@ -263,47 +240,58 @@ func TestNaiveSeminaiveIndexedAgree(t *testing.T) {
 			db.AddFact(ast.NewAtom("edge",
 				ast.N(float64(rng.Intn(n))), ast.N(float64(rng.Intn(n)))))
 		}
-		var results []*DB
-		for _, opt := range []Options{
-			{Seminaive: true, UseIndex: true},
-			{Seminaive: true, UseIndex: false},
-			{Seminaive: false, UseIndex: true},
-			{Seminaive: false, UseIndex: false},
-		} {
-			idb, _, err := EvalWith(prog, db, opt)
+		want := evalref.Eval(prog, db)
+		for _, scan := range []bool{false, true} {
+			idb, _, err := EvalWith(prog, db, Options{Scan: scan})
 			if err != nil {
 				t.Fatal(err)
 			}
-			results = append(results, idb)
-		}
-		for _, pred := range []string{"path", "sym", "far"} {
-			want := results[0].SortedFacts(pred)
-			for i := 1; i < len(results); i++ {
-				if got := results[i].SortedFacts(pred); !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d: config %d disagrees on %s:\n%v\nvs\n%v", trial, i, pred, got, want)
+			for _, pred := range []string{"path", "sym", "far"} {
+				if got := idb.SortedFacts(pred); !reflect.DeepEqual(got, want[pred]) {
+					t.Fatalf("trial %d: scan=%v disagrees with the reference on %s:\n%v\nvs\n%v", trial, scan, pred, got, want[pred])
 				}
 			}
 		}
 	}
 }
 
-func TestSeminaiveFewerProbesThanNaive(t *testing.T) {
+// TestZeroOptionsIsDefault: the zero Options is the default engine —
+// semi-naive, indexed, greedy — so EvalWith(p, db, Options{}) answers
+// and counts exactly like Eval.
+func TestZeroOptionsIsDefault(t *testing.T) {
 	prog := parser.MustParseProgram(`
 		path(X, Y) :- step(X, Y).
 		path(X, Y) :- step(X, Z), path(Z, Y).
-		?- path.
+		far(X, Y) :- path(X, Y), X < Y, !step(X, Y).
+		?- far.
 	`)
 	db := chainEDB(30)
-	_, sn, err := EvalWith(prog, db, Options{Seminaive: true, UseIndex: true})
+	want, wantStats, err := Eval(prog, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, nv, err := EvalWith(prog, db, Options{Seminaive: false, UseIndex: true})
+	got, gotStats, err := EvalWith(prog, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sn.JoinProbes >= nv.JoinProbes {
-		t.Fatalf("semi-naive (%d probes) should beat naive (%d probes)", sn.JoinProbes, nv.JoinProbes)
+	if !gotStats.Equal(wantStats) {
+		t.Fatalf("stats differ:\n%+v\nvs\n%+v", *gotStats, *wantStats)
+	}
+	for _, pred := range []string{"path", "far"} {
+		if !reflect.DeepEqual(got.SortedFacts(pred), want.SortedFacts(pred)) {
+			t.Fatalf("%s differs between Options{} and Eval", pred)
+		}
+	}
+	// The zero value must not be the scan path: scanning probes more.
+	_, scanStats, err := EvalWith(prog, db, Options{Scan: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scanStats.JoinProbes <= gotStats.JoinProbes {
+		t.Fatalf("Options{} probes %d, scan %d: the zero value should use indexes", gotStats.JoinProbes, scanStats.JoinProbes)
+	}
+	if DefaultOptions() != (Options{}) {
+		t.Fatalf("DefaultOptions() = %+v, want the zero value", DefaultOptions())
 	}
 }
 
@@ -314,7 +302,7 @@ func TestMaxTuplesBudget(t *testing.T) {
 		?- path.
 	`)
 	db := chainEDB(100)
-	_, _, err := EvalWith(prog, db, Options{Seminaive: true, UseIndex: true, MaxTuples: 50})
+	_, _, err := EvalWith(prog, db, Options{MaxTuples: 50})
 	if err == nil {
 		t.Fatal("expected budget error")
 	}

@@ -7,18 +7,19 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/eval/evalref"
 	"repro/internal/parser"
 )
 
-// FuzzPlan drives arbitrary parsed programs through the legacy engine
-// and the compiled engine under all three join-order policies, and
-// asserts the engine's core contract: the answer set and the
-// order-invariant statistics (iterations, rule firings, tuples
-// derived) never depend on which policy picked the join order or how
-// many workers ran. Inputs that fail to parse or fail stratification
-// are skipped; inputs where the baseline errors (e.g. the MaxTuples
-// guard trips) skip the cross-policy comparison, since abort points
-// are not part of the contract.
+// FuzzPlan drives arbitrary parsed programs through the engine under
+// all three join-order policies and both index modes, and asserts the
+// engine's core contract: the answer set is the reference evaluator's
+// least model, every recorded derivation is sound, and the
+// order-invariant statistics (iterations, tuples derived) never depend
+// on which policy picked the join order or how many workers ran.
+// Inputs that fail to parse or validate are skipped; inputs where the
+// baseline errors (e.g. the MaxTuples guard trips) skip the comparison,
+// since abort points are not part of the contract.
 func FuzzPlan(f *testing.F) {
 	f.Add(`p(X, Y) :- e(X, Y).
 p(X, Y) :- e(X, Z), p(Z, Y).
@@ -79,12 +80,12 @@ odd(Y) :- even(X), succ(X, Y).
 			opts  Options
 		}
 		runs := []run{
-			{"legacy", Options{Seminaive: true, UseIndex: true, Workers: 1}},
-			{"greedy", Options{Seminaive: true, UseIndex: true, CompilePlans: true, Workers: 1}},
-			{"cost", Options{Seminaive: true, UseIndex: true, CompilePlans: true, Workers: 1, Policy: PolicyCost}},
-			{"adaptive", Options{Seminaive: true, UseIndex: true, CompilePlans: true, Workers: 1, Policy: PolicyAdaptive}},
-			{"cost-w3", Options{Seminaive: true, UseIndex: true, CompilePlans: true, Workers: 3, Policy: PolicyCost}},
-			{"adaptive-w3", Options{Seminaive: true, UseIndex: true, CompilePlans: true, Workers: 3, Policy: PolicyAdaptive}},
+			{"greedy", Options{Workers: 1}},
+			{"scan", Options{Workers: 1, Scan: true}},
+			{"cost", Options{Workers: 1, Policy: PolicyCost}},
+			{"adaptive", Options{Workers: 1, Policy: PolicyAdaptive}},
+			{"cost-w3", Options{Workers: 3, Policy: PolicyCost}},
+			{"adaptive-w3", Options{Workers: 3, Policy: PolicyAdaptive}},
 		}
 		type outcome struct {
 			answers map[string][]string
@@ -95,12 +96,13 @@ odd(Y) :- even(X), succ(X, Y).
 		baseLabel := ""
 		for _, r := range runs {
 			r.opts.MaxTuples = 20000
-			idb, stats, err := EvalCtx(context.Background(), p, db, r.opts)
+			idb, prov, stats, err := evalProvOpts(context.Background(), p, db, r.opts)
 			if err != nil {
 				// The baseline decides whether this input evaluates at
-				// all; abort points under resource guards may differ,
-				// so an erroring baseline skips the whole comparison.
-				if base != nil && stats.TuplesDerived < 20000 {
+				// all: an erroring baseline skips the whole comparison.
+				// Every run derives the same tuples, so the budget
+				// guard trips in all runs or in none.
+				if base != nil {
 					t.Fatalf("%s errored where %s succeeded: %v", r.label, baseLabel, err)
 				}
 				return
@@ -112,8 +114,20 @@ odd(Y) :- even(X), succ(X, Y).
 			}
 			for pred := range p.IDB() {
 				got.answers[pred] = idb.SortedFacts(pred)
+				for _, f := range idb.Facts(pred) {
+					d, err := prov.Tree(f, p.IDB(), db)
+					if err == nil {
+						err = checkDerivation(p, db, d)
+					}
+					if err != nil {
+						t.Fatalf("%s: derivation of %s: %v", r.label, f, err)
+					}
+				}
 			}
 			if base == nil {
+				if want := evalref.Eval(p, db); !reflect.DeepEqual(got.answers, want) {
+					t.Fatalf("answers differ from the reference evaluator:\n%v\nvs\n%v", got.answers, want)
+				}
 				base, baseLabel = got, r.label
 				continue
 			}

@@ -1,13 +1,12 @@
 package eval
 
-// Interned data layout for the compiled-plan engine (Options.
-// CompilePlans). Constant terms are assigned dense uint32 ids by a
-// per-evaluation interner, tuples become flat []uint32 rows, and both
-// the per-relation duplicate set and the bound-position hash indexes
-// key on integer hashes with exact row comparison — no string is built
-// or hashed anywhere on the join path. The interner is an internal
-// boundary: it is created inside EvalCtx and nothing outside the
-// engine ever sees an id.
+// Interned data layout of the engine. Constant terms are assigned
+// dense uint32 ids by a per-evaluation interner, tuples become flat
+// []uint32 rows, and both the per-relation duplicate set and the
+// bound-position hash indexes key on integer hashes with exact row
+// comparison — no string is built or hashed anywhere on the join
+// path. The interner is an internal boundary: it is created inside
+// EvalCtx and nothing outside the engine ever sees an id.
 
 import (
 	"strings"
@@ -101,7 +100,7 @@ func pow2(n int) int {
 // rowHash is an open-addressed hash set over the rows of a flat
 // []uint32 store (arity values per row). It stores row indices and
 // compares rows by value, so membership answers are exact — a hash
-// collision costs a comparison, never a wrong answer. find is
+// collision costs a comparison, never a wrong answer. findIdx is
 // read-only and safe for concurrent readers of a frozen store;
 // insertLookup/place mutate and require a single writer.
 type rowHash struct {
@@ -118,28 +117,10 @@ func (h *rowHash) rowAt(i int32) []uint32 {
 	return d[s : s+h.arity]
 }
 
-// find reports membership without mutating the table.
-func (h *rowHash) find(vals []uint32) bool {
-	if h.n == 0 {
-		return false
-	}
-	mask := len(h.idxs) - 1
-	hv := hashU32s(vals)
-	for i := int(hv) & mask; ; i = (i + 1) & mask {
-		idx := h.idxs[i]
-		if idx < 0 {
-			return false
-		}
-		if h.hashes[i] == hv && rowsEqual(h.rowAt(idx), vals) {
-			return true
-		}
-	}
-}
-
-// findIdx is find returning the stored row index instead of a bool:
-// the index of vals in the backing store, or -1 when absent. Read-only;
-// lets prefix snapshots (RelView) answer membership for rows [0, hi)
-// of an append-only relation in O(1).
+// findIdx returns the index of vals in the backing store, or -1 when
+// absent. Read-only; returning the index instead of a bool lets prefix
+// snapshots answer membership for rows [0, hi) of an append-only
+// relation in O(1).
 func (h *rowHash) findIdx(vals []uint32) int32 {
 	if h.n == 0 {
 		return -1
@@ -215,8 +196,9 @@ func (h *rowHash) grow() {
 
 // rowIndex is a hash index from the values at a fixed set of argument
 // positions to the rows holding them, as head/next chains in ascending
-// row order (the same candidate order the legacy string-keyed index
-// returns, which keeps probe counts and provenance bit-identical).
+// row order (insertion order, so candidate order — and with it probe
+// counts and provenance — is deterministic, and a prefix view can stop
+// at the first row past its snapshot).
 // Built lazily under the owning irel's lock; appended to incrementally
 // at single-threaded round barriers.
 type rowIndex struct {
@@ -338,10 +320,10 @@ func (ix *rowIndex) lookup(r *irel, vals []uint32) int32 {
 
 // irel is an interned relation: a set of same-arity []uint32 rows in a
 // single flat slice, a duplicate-elimination hash set, and lazily built
-// bound-position indexes. The same concurrency contract as Relation
-// applies: any number of goroutines may read (row, contains, index
-// probes) a frozen irel; add requires that no reader runs concurrently,
-// which the evaluator guarantees by mutating only at round barriers.
+// bound-position indexes. Any number of goroutines may read (row,
+// contains, index probes) a frozen irel; add requires that no reader
+// runs concurrently, which the engine guarantees by mutating only at
+// round barriers.
 type irel struct {
 	arity int
 	n     int
@@ -374,7 +356,9 @@ func (r *irel) row(i int) []uint32 {
 }
 
 // add inserts a row, reporting whether it was new. Existing indexes are
-// maintained incrementally, exactly like Relation.Add. Single writer.
+// maintained incrementally instead of invalidated: evaluation adds
+// rows continuously, and a rebuild per growth step would dominate the
+// run time. Single writer.
 func (r *irel) add(vals []uint32) bool {
 	slot, hv, found := r.set.insertLookup(vals)
 	if found {
@@ -400,11 +384,12 @@ func (r *irel) add(vals []uint32) bool {
 
 // contains reports membership; read-only and safe for concurrent use
 // on a frozen relation.
-func (r *irel) contains(vals []uint32) bool { return r.set.find(vals) }
+func (r *irel) contains(vals []uint32) bool { return r.set.findIdx(vals) >= 0 }
 
 // index returns the rowIndex for the given position bitmask, building
 // it lazily. Safe for concurrent readers: the build is double-checked
-// under an RWMutex, mirroring Relation.lookup.
+// under an RWMutex, so two tasks probing the same un-indexed mask
+// cannot race.
 func (r *irel) index(mask uint64, pos []int) *rowIndex {
 	r.mu.RLock()
 	ix := r.indexes[mask]

@@ -11,10 +11,11 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/eval/evalref"
 	"repro/internal/parser"
 )
 
-// engineRuns is the engine × policy × worker matrix the goal-directed
+// engineRuns is the policy × worker matrix the goal-directed
 // differential tests sweep; every cell must answer identically.
 func engineRuns() []struct {
 	label string
@@ -24,12 +25,11 @@ func engineRuns() []struct {
 		label string
 		opts  Options
 	}{
-		{"legacy-w1", Options{Seminaive: true, UseIndex: true, Workers: 1}},
-		{"greedy-w1", Options{Seminaive: true, UseIndex: true, CompilePlans: true, Workers: 1}},
-		{"cost-w1", Options{Seminaive: true, UseIndex: true, CompilePlans: true, Workers: 1, Policy: PolicyCost}},
-		{"adaptive-w1", Options{Seminaive: true, UseIndex: true, CompilePlans: true, Workers: 1, Policy: PolicyAdaptive}},
-		{"greedy-w3", Options{Seminaive: true, UseIndex: true, CompilePlans: true, Workers: 3}},
-		{"adaptive-w3", Options{Seminaive: true, UseIndex: true, CompilePlans: true, Workers: 3, Policy: PolicyAdaptive}},
+		{"greedy-w1", Options{Workers: 1}},
+		{"cost-w1", Options{Workers: 1, Policy: PolicyCost}},
+		{"adaptive-w1", Options{Workers: 1, Policy: PolicyAdaptive}},
+		{"greedy-w3", Options{Workers: 3}},
+		{"adaptive-w3", Options{Workers: 3, Policy: PolicyAdaptive}},
 	}
 }
 
@@ -47,6 +47,27 @@ func answerSet(tuples []Tuple) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// renderAnswers renders query tuples as sorted facts of pred, the
+// format of evalref.Answers.
+func renderAnswers(pred string, tuples []Tuple) []string {
+	out := make([]string, len(tuples))
+	for i, t := range tuples {
+		out[i] = ast.NewAtom(pred, t...).String()
+	}
+	sort.Strings(out)
+	return out
+}
+
+// requireRefAnswers asserts that query tuples are exactly the
+// reference evaluator's goal answers.
+func requireRefAnswers(t *testing.T, label string, p *ast.Program, db *DB, tuples []Tuple) {
+	t.Helper()
+	if got, want := renderAnswers(p.Query, tuples), evalref.Answers(p, db); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: answers differ from the reference evaluator (%d vs %d)\n got %v\nwant %v",
+			label, len(got), len(want), got, want)
+	}
 }
 
 // chainEdges adds edge(i, i+1) facts for i in [from, from+n) —
@@ -75,9 +96,9 @@ func disjointChainsDB(k, n int) *DB {
 }
 
 // TestMagicDifferentialTC is the headline property: a bound point
-// query on transitive closure answers identically with and without the
-// magic rewrite across every engine, policy, and worker count — while
-// magic does an order of magnitude less work.
+// query on transitive closure answers like the reference evaluator
+// with and without the magic rewrite across every policy and worker
+// count — while magic does an order of magnitude less work.
 func TestMagicDifferentialTC(t *testing.T) {
 	for _, variant := range []string{
 		// Right-linear: demand prunes to the reachable set.
@@ -91,12 +112,13 @@ func TestMagicDifferentialTC(t *testing.T) {
 		// Fully bound goal.
 		`path(X, Y) :- edge(X, Y).
 		 path(X, Y) :- edge(X, Z), path(Z, Y).
-		 ?- path(0, 40).`,
+		 ?- path(0, 15).`,
 	} {
 		p := parser.MustParseProgram(variant)
-		db := disjointChainsDB(8, 50)
-		var base []string
-		baseLabel := ""
+		// 20-edge chains keep the naive reference evaluator (quadratic
+		// per round, one round per chain edge) affordable under -race.
+		db := disjointChainsDB(8, 20)
+		want := evalref.Answers(p, db)
 		var offDerived, onDerived int64
 		for _, r := range engineRuns() {
 			for _, mode := range []MagicMode{MagicOff, MagicAuto, MagicOn} {
@@ -115,14 +137,9 @@ func TestMagicDifferentialTC(t *testing.T) {
 				} else {
 					onDerived = stats.TuplesDerived
 				}
-				got := answerSet(tuples)
-				if base == nil {
-					base, baseLabel = got, label
-					continue
-				}
-				if !reflect.DeepEqual(got, base) {
-					t.Fatalf("answers diverged: %s (%d) vs %s (%d)\n%v\nvs\n%v",
-						label, len(got), baseLabel, len(base), got, base)
+				if got := renderAnswers(p.Query, tuples); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: answers differ from the reference (%d vs %d)\n%v\nvs\n%v",
+						label, len(got), len(want), got, want)
 				}
 			}
 		}
@@ -247,7 +264,6 @@ func TestStreamDifferential(t *testing.T) {
 	for i := 0; i < 120; i++ {
 		db.AddFact(ast.NewAtom("edge", ast.N(float64(rng.Intn(30))), ast.N(float64(rng.Intn(30)))))
 	}
-	var base []string
 	var plainPeak, streamPeak int64
 	for _, r := range engineRuns() {
 		for _, stream := range []bool{false, true} {
@@ -262,14 +278,7 @@ func TestStreamDifferential(t *testing.T) {
 			} else {
 				plainPeak = stats.PeakMaterialized
 			}
-			got := answerSet(tuples)
-			if base == nil {
-				base = got
-				continue
-			}
-			if !reflect.DeepEqual(got, base) {
-				t.Fatalf("%s/stream=%v: answers diverged (%d vs %d)", r.label, stream, len(got), len(base))
-			}
+			requireRefAnswers(t, fmt.Sprintf("%s/stream=%v", r.label, stream), p, db, tuples)
 		}
 	}
 	if streamPeak >= plainPeak {
@@ -306,9 +315,8 @@ func TestMagicStreamCombined(t *testing.T) {
 	}
 }
 
-// TestMagicPeakDeterministic: PeakMaterialized agrees between the
-// legacy and compiled engines and across worker counts, like every
-// other deterministic counter.
+// TestMagicPeakDeterministic: PeakMaterialized agrees across policies
+// and worker counts, like every other deterministic counter.
 func TestMagicPeakDeterministic(t *testing.T) {
 	p := parser.MustParseProgram(`
 		path(X, Y) :- edge(X, Y).
@@ -334,10 +342,11 @@ func TestMagicPeakDeterministic(t *testing.T) {
 
 // FuzzMagic drives arbitrary programs with arbitrary binding patterns
 // through the goal-directed path and asserts the one contract that
-// matters: magic on (with and without streaming), across engines and
-// worker counts, answers exactly like bottom-up evaluation of the
-// same goal. Mirrors FuzzPlan's EDB construction; the bottom-up
-// baseline decides evaluability.
+// matters: magic on (with and without streaming), across policies and
+// worker counts, answers exactly like bottom-up evaluation of the same
+// goal, which in turn answers like the reference evaluator. Mirrors
+// FuzzPlan's EDB construction; the bottom-up baseline decides
+// evaluability.
 func FuzzMagic(f *testing.F) {
 	f.Add(`path(X, Y) :- edge(X, Y).
 path(X, Y) :- edge(X, Z), path(Z, Y).
@@ -405,13 +414,13 @@ q(X, Y) :- mid(X, Z), f(Z, Y).
 			p.Goal = goal
 		}
 
-		off := Options{Seminaive: true, UseIndex: true, CompilePlans: true,
-			Workers: 1, Magic: MagicOff, MaxTuples: 20000}
+		off := Options{Workers: 1, Magic: MagicOff, MaxTuples: 20000}
 		baseTuples, _, err := QueryCtx(context.Background(), p, db, off)
 		if err != nil {
 			return // baseline decides evaluability
 		}
-		want := answerSet(baseTuples)
+		requireRefAnswers(t, "bottom-up baseline", p, db, baseTuples)
+		want := renderAnswers(p.Query, baseTuples)
 		for _, r := range engineRuns() {
 			for _, stream := range []bool{false, true} {
 				opts := r.opts
@@ -424,7 +433,7 @@ q(X, Y) :- mid(X, Z), f(Z, Y).
 					}
 					t.Fatalf("%s/stream=%v errored where baseline succeeded: %v", r.label, stream, err)
 				}
-				if got := answerSet(gotTuples); !reflect.DeepEqual(got, want) {
+				if got := renderAnswers(p.Query, gotTuples); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s/stream=%v: answers diverged\n got %v\nwant %v\ngoal %s",
 						r.label, stream, got, want, p.GoalAtom())
 				}

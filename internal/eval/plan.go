@@ -1,12 +1,12 @@
 package eval
 
 // Compiled rule plans. A plan is built once per (rule, delta-occurrence)
-// pair before the fixpoint starts and fixes everything the legacy
-// engine re-derived per candidate tuple: the join order, each subgoal's
-// bound argument positions (with constants pre-interned), variable →
-// binding-slot assignments, the earliest join depth at which every
-// comparison and negation filter is ground, and the head/body templates
-// used to emit facts and provenance.
+// pair before the fixpoint starts and fixes everything that would
+// otherwise be re-derived per candidate tuple: the join order, each
+// subgoal's bound argument positions (with constants pre-interned),
+// variable → binding-slot assignments, the earliest join depth at which
+// every comparison and negation filter is ground, and the head/body
+// templates used to emit facts and provenance.
 //
 // The join order is chosen greedily: after the delta occurrence (which
 // must stay first — it is the smallest relation and the partitioned
@@ -29,19 +29,11 @@ type planKey struct {
 	occ     int
 }
 
-// relSrc says which snapshot relation a subgoal reads.
-type relSrc uint8
-
-const (
-	srcEDB relSrc = iota
-	srcIDB
-	srcDelta // the delta-restricted occurrence
-)
-
 // atomTpl is an atom with each argument resolved to either an interned
 // constant id or a binding-slot number.
 type atomTpl struct {
 	pred    string
+	idx     int // negated subgoals: index into Rule.Neg, selecting the executor's view
 	isConst []bool
 	vals    []uint32 // constant id when isConst, else slot
 }
@@ -56,9 +48,7 @@ type cmpPlan struct {
 
 // subPlan is one join step.
 type subPlan struct {
-	subIdx int // index into Rule.Pos
-	pred   string
-	src    relSrc
+	subIdx int // index into Rule.Pos, selecting the executor's view
 	// Argument positions bound before this subgoal is probed, and the
 	// constant id (boundConst) or slot (otherwise) each must equal.
 	boundPos   []int
@@ -94,7 +84,6 @@ type plan struct {
 	posTpls     []atomTpl
 	negTpls     []atomTpl
 	maxNegArity int
-	staticOrder bool // greedy order equals the legacy static order
 }
 
 // greedyJoinOrder orders the subgoals of r for a task restricted to
@@ -149,8 +138,8 @@ func greedyJoinOrderBound(r ast.Rule, occ int, preBound map[string]bool) []int {
 
 // compilePlan builds the plan for one (rule, occurrence) task, interning
 // every constant the rule mentions.
-func compilePlan(in *interner, idbPr map[string]bool, r ast.Rule, ruleIdx, occ int) *plan {
-	return compilePlanBound(in, idbPr, r, ruleIdx, occ, false)
+func compilePlan(in *interner, r ast.Rule, ruleIdx, occ int) *plan {
+	return compilePlanBound(in, r, ruleIdx, occ, false)
 }
 
 // compilePlanBound is compilePlan with an optional head-bound mode:
@@ -161,8 +150,8 @@ func compilePlan(in *interner, idbPr map[string]bool, r ast.Rule, ruleIdx, occ i
 // every subgoal sees the head variables as bound positions, so the join
 // only explores instantiations that could derive exactly that row
 // (DRed's rederivation step in internal/incr).
-func compilePlanBound(in *interner, idbPr map[string]bool, r ast.Rule, ruleIdx, occ int, headBound bool) *plan {
-	return compilePlanOrdered(in, idbPr, r, ruleIdx, occ, headBound, nil)
+func compilePlanBound(in *interner, r ast.Rule, ruleIdx, occ int, headBound bool) *plan {
+	return compilePlanOrdered(in, r, ruleIdx, occ, headBound, nil)
 }
 
 // compilePlanOrdered is compilePlanBound with an explicit join order
@@ -172,7 +161,7 @@ func compilePlanBound(in *interner, idbPr map[string]bool, r ast.Rule, ruleIdx, 
 // the same (rule, occ) has the same nSlots — slots number the rule's
 // variables, not join depths — which is what lets the adaptive
 // executor swap plans mid-task without touching its binding buffer.
-func compilePlanOrdered(in *interner, idbPr map[string]bool, r ast.Rule, ruleIdx, occ int, headBound bool, order []int) *plan {
+func compilePlanOrdered(in *interner, r ast.Rule, ruleIdx, occ int, headBound bool, order []int) *plan {
 	n := len(r.Pos)
 	pl := &plan{ruleIdx: ruleIdx, occ: occ}
 
@@ -214,15 +203,6 @@ func compilePlanOrdered(in *interner, idbPr map[string]bool, r ast.Rule, ruleIdx
 		sub := r.Pos[si]
 		sp := &pl.subs[d]
 		sp.subIdx = si
-		sp.pred = sub.Pred
-		switch {
-		case si == occ:
-			sp.src = srcDelta
-		case idbPr[sub.Pred]:
-			sp.src = srcIDB
-		default:
-			sp.src = srcEDB
-		}
 		inAtom := map[string]uint32{}
 		for j, t := range sub.Args {
 			switch {
@@ -260,12 +240,11 @@ func compilePlanOrdered(in *interner, idbPr map[string]bool, r ast.Rule, ruleIdx
 		for name := range inAtom {
 			bound[name] = true
 		}
-		// Attach every filter that just became ground. The legacy engine
-		// re-checks all ground filters after every candidate extension;
-		// the checks are idempotent (comparison operands are fixed once
-		// bound, the EDB is frozen), so checking each filter exactly once
-		// at its earliest-ground depth prunes the identical branches and
-		// keeps probe counts bit-identical.
+		// Attach every filter that just became ground. The checks are
+		// idempotent (comparison operands are fixed once bound, the EDB
+		// is frozen), so checking each filter exactly once at its
+		// earliest-ground depth prunes as early as re-checking after
+		// every extension would.
 		for i, c := range r.Cmp {
 			if !cmpDone[i] && allBound(c.Vars(nil)) {
 				sp.cmps = append(sp.cmps, compileCmp(in, slotOf, c))
@@ -274,13 +253,13 @@ func compilePlanOrdered(in *interner, idbPr map[string]bool, r ast.Rule, ruleIdx
 		}
 		for i, a := range r.Neg {
 			if !negDone[i] && allBound(a.Vars(nil)) {
-				sp.negs = append(sp.negs, compileAtomTpl(in, slotOf, a))
+				sp.negs = append(sp.negs, compileNegTpl(in, slotOf, a, i))
 				negDone[i] = true
 			}
 		}
 	}
 	// Zero-subgoal rules ground their (necessarily variable-free)
-	// filters at the finish step, mirroring finishRule.
+	// filters at the finish step.
 	for i, c := range r.Cmp {
 		if !cmpDone[i] {
 			pl.finishCmps = append(pl.finishCmps, compileCmp(in, slotOf, c))
@@ -288,7 +267,7 @@ func compilePlanOrdered(in *interner, idbPr map[string]bool, r ast.Rule, ruleIdx
 	}
 	for i, a := range r.Neg {
 		if !negDone[i] {
-			pl.finishNegs = append(pl.finishNegs, compileAtomTpl(in, slotOf, a))
+			pl.finishNegs = append(pl.finishNegs, compileNegTpl(in, slotOf, a, i))
 		}
 	}
 
@@ -296,15 +275,14 @@ func compilePlanOrdered(in *interner, idbPr map[string]bool, r ast.Rule, ruleIdx
 	for _, a := range r.Pos {
 		pl.posTpls = append(pl.posTpls, compileAtomTpl(in, slotOf, a))
 	}
-	for _, a := range r.Neg {
-		tpl := compileAtomTpl(in, slotOf, a)
+	for i, a := range r.Neg {
+		tpl := compileNegTpl(in, slotOf, a, i)
 		pl.negTpls = append(pl.negTpls, tpl)
 		if len(tpl.isConst) > pl.maxNegArity {
 			pl.maxNegArity = len(tpl.isConst)
 		}
 	}
 	pl.nSlots = len(slots)
-	pl.staticOrder = intsEqual(pl.order, joinOrder(n, occ))
 	return pl
 }
 
@@ -339,6 +317,13 @@ func compileAtomTpl(in *interner, slotOf func(string) uint32, a ast.Atom) atomTp
 			tpl.vals[j] = slotOf(t.Name)
 		}
 	}
+	return tpl
+}
+
+// compileNegTpl compiles the i-th negated subgoal of a rule.
+func compileNegTpl(in *interner, slotOf func(string) uint32, a ast.Atom, i int) atomTpl {
+	tpl := compileAtomTpl(in, slotOf, a)
+	tpl.idx = i
 	return tpl
 }
 

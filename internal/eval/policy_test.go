@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/eval/evalref"
 	"repro/internal/parser"
 )
 
@@ -17,18 +18,15 @@ import (
 // across policies would only hold if the policies never did anything.
 // The differential contract is therefore:
 //
-//   - answers are bit-identical across policies, engines, and workers;
-//   - every derived fact has a valid derivation tree under every policy
-//     (runEngine builds one per fact and fails otherwise);
+//   - answers equal the reference evaluator's under every policy and
+//     worker count;
+//   - every derived fact has a sound derivation tree under every policy
+//     (runEngine builds and checks one per fact);
 //   - the order-invariant Stats fields — Iterations, RuleFirings,
 //     TuplesDerived, RoundDeltas — are identical across policies (a
 //     join order permutes probes, never firings or derivations);
 //   - within each policy, answers, full Stats, and provenance are
-//     bit-identical for every worker count;
-//   - the greedy policy remains fully bit-identical to the legacy
-//     engine, provenance included, whenever greedy keeps the legacy
-//     static order (the PR 3 contract, unchanged; when greedy itself
-//     reorders, only answers and order-invariant fields compare).
+//     bit-identical for every worker count.
 
 // statsOrderInvariantEqual compares the Stats fields a join order
 // cannot change.
@@ -42,26 +40,29 @@ func statsOrderInvariantEqual(a, b *Stats) bool {
 
 var allPolicies = []JoinOrderPolicy{PolicyGreedy, PolicyCost, PolicyAdaptive}
 
-// requirePoliciesIdentical runs the legacy engine and all three
-// compiled policies over workers {1, 4} and asserts the contract
-// above. It returns the per-policy single-worker stats so callers can
-// additionally assert on probe counts or adaptive counters.
+// requirePoliciesIdentical runs all three policies over workers {1, 4}
+// and asserts the contract above. It returns the per-policy
+// single-worker stats so callers can additionally assert on probe
+// counts or adaptive counters.
 func requirePoliciesIdentical(t *testing.T, label string, p *ast.Program, db *DB) map[JoinOrderPolicy]Stats {
 	t.Helper()
-	legacy := runEngine(t, p, db, Options{Seminaive: true, UseIndex: true})
 	out := map[JoinOrderPolicy]Stats{}
-	var greedyRun *engineRun
+	var greedy *engineRun
 	for _, pol := range allPolicies {
 		var prev *engineRun
 		for _, w := range []int{1, 4} {
-			opts := Options{Seminaive: true, UseIndex: true, CompilePlans: true, Workers: w, Policy: pol}
-			cr := runEngine(t, p, db, opts)
+			cr := runEngine(t, p, db, Options{Workers: w, Policy: pol})
 			ctx := fmt.Sprintf("%s (policy=%s workers=%d)", label, pol, w)
-			if !reflect.DeepEqual(cr.preds, legacy.preds) {
-				t.Fatalf("%s: answers differ from legacy", ctx)
+			if greedy == nil {
+				requireReference(t, ctx, p, db, cr.preds)
+				c := cr
+				greedy = &c
 			}
-			if !statsOrderInvariantEqual(&cr.stats, &legacy.stats) {
-				t.Fatalf("%s: order-invariant stats differ from legacy:\nlegacy %+v\npolicy %+v", ctx, legacy.stats, cr.stats)
+			if !reflect.DeepEqual(cr.preds, greedy.preds) {
+				t.Fatalf("%s: answers differ from greedy", ctx)
+			}
+			if !statsOrderInvariantEqual(&cr.stats, &greedy.stats) {
+				t.Fatalf("%s: order-invariant stats differ from greedy:\ngreedy %+v\npolicy %+v", ctx, greedy.stats, cr.stats)
 			}
 			if prev != nil {
 				if !cr.stats.Equal(&prev.stats) {
@@ -74,26 +75,12 @@ func requirePoliciesIdentical(t *testing.T, label string, p *ast.Program, db *DB
 			c := cr
 			prev = &c
 		}
-		if pol == PolicyGreedy && plansAllStatic(p) {
-			// The greedy policy stays fully bit-identical to legacy,
-			// provenance included.
-			if !prev.stats.Equal(&legacy.stats) {
-				t.Fatalf("%s: greedy compiled stats differ from legacy:\n%+v\nvs\n%+v", label, legacy.stats, prev.stats)
-			}
-			if prev.prov != legacy.prov {
-				t.Fatalf("%s: greedy compiled provenance differs from legacy", label)
-			}
-		}
-		if pol == PolicyGreedy {
-			greedyRun = prev
-		} else if greedyRun != nil && prev.prov != greedyRun.prov {
+		if pol != PolicyGreedy && prev.prov != greedy.prov {
 			// Derivation trees are rebuilt per fact from recorded steps;
-			// all policies record a valid step for every fact, and for
-			// these workloads the recorded instantiation is identical.
-			// (This is stricter than validity; relax per-workload if a
-			// future workload derives a fact via different rule bodies
-			// under different orders.)
-			t.Logf("%s: policy %s records different (still valid) provenance steps than greedy", label, pol)
+			// all policies record a sound step for every fact, but a
+			// different join order may reach a fact through a different
+			// instantiation first.
+			t.Logf("%s: policy %s records different (still sound) provenance steps than greedy", label, pol)
 		}
 		out[pol] = prev.stats
 	}
@@ -226,7 +213,7 @@ func TestPolicyAdaptiveSkipsEmptySubgoal(t *testing.T) {
 	}
 }
 
-// --- ablation coverage: scan path and naive rounds ------------------------
+// --- ablation coverage: the scan path -----------------------------------
 
 func TestPolicyDifferentialAblations(t *testing.T) {
 	p := parser.MustParseProgram(`
@@ -235,21 +222,15 @@ func TestPolicyDifferentialAblations(t *testing.T) {
 		?- path.
 	`)
 	db := chainEDB(25)
-	baseline, _, err := EvalWith(p, db, Options{Seminaive: true, UseIndex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, seminaive := range []bool{true, false} {
-		for _, useIndex := range []bool{true, false} {
-			for _, pol := range allPolicies {
-				idb, _, err := EvalWith(p, db, Options{Seminaive: seminaive, UseIndex: useIndex,
-					CompilePlans: true, Policy: pol, Workers: 2})
-				if err != nil {
-					t.Fatalf("seminaive=%v index=%v policy=%s: %v", seminaive, useIndex, pol, err)
-				}
-				if !reflect.DeepEqual(idb.SortedFacts("path"), baseline.SortedFacts("path")) {
-					t.Fatalf("seminaive=%v index=%v policy=%s: answers differ", seminaive, useIndex, pol)
-				}
+	want := evalref.Eval(p, db)["path"]
+	for _, scan := range []bool{false, true} {
+		for _, pol := range allPolicies {
+			idb, _, err := EvalWith(p, db, Options{Scan: scan, Policy: pol, Workers: 2})
+			if err != nil {
+				t.Fatalf("scan=%v policy=%s: %v", scan, pol, err)
+			}
+			if !reflect.DeepEqual(idb.SortedFacts("path"), want) {
+				t.Fatalf("scan=%v policy=%s: answers differ from the reference", scan, pol)
 			}
 		}
 	}
@@ -268,41 +249,10 @@ func TestPolicyDifferentialRandomPrograms(t *testing.T) {
 		"v(X, Z) :- p(X, Y), p(Y, Z), X != Z.\n",
 	}
 	for trial := 0; trial < 10; trial++ {
-		src := "p(X, Y) :- e(X, Y).\np(X, Z) :- e(X, Y), p(Y, Z).\n"
-		for _, ex := range extras {
-			if rng.Intn(2) == 0 {
-				continue
-			}
-			for {
-				i := indexByte(ex, '%')
-				if i < 0 {
-					break
-				}
-				ex = ex[:i] + fmt.Sprintf("%d", rng.Intn(5)) + ex[i+2:]
-			}
-			src += ex
-		}
-		src += "?- p.\n"
-		p, err := parser.ParseProgram(src)
-		if err != nil {
-			t.Fatalf("trial %d: %v\n%s", trial, err, src)
-		}
-		db := NewDB()
-		n := 4 + rng.Intn(5)
-		for i := 0; i < n*3; i++ {
-			db.AddFact(ast.NewAtom("e", ast.N(float64(rng.Intn(n))), ast.N(float64(rng.Intn(n)))))
-			db.AddFact(ast.NewAtom("f", ast.N(float64(rng.Intn(n))), ast.N(float64(rng.Intn(5)))))
-		}
-		for i := 0; i < n; i++ {
-			if rng.Intn(3) == 0 {
-				db.AddFact(ast.NewAtom("g", ast.N(float64(i))))
-			}
-		}
+		p, db := randomProgram(t, rng, extras, trial)
 		requirePoliciesIdentical(t, fmt.Sprintf("random trial %d", trial), p, db)
 	}
 }
-
-// --- options plumbing and unit tests --------------------------------------
 
 func TestParseJoinOrderPolicy(t *testing.T) {
 	for _, tc := range []struct {
@@ -324,23 +274,15 @@ func TestParseJoinOrderPolicy(t *testing.T) {
 	}
 }
 
-func TestPolicyRequiresCompiledEngine(t *testing.T) {
+func TestPolicyOptionsValidation(t *testing.T) {
 	p := parser.MustParseProgram("q(X) :- e(X, X).\n?- q.\n")
 	db := NewDB()
-	for _, pol := range []JoinOrderPolicy{PolicyCost, PolicyAdaptive} {
-		if _, _, err := EvalWith(p, db, Options{Seminaive: true, Policy: pol}); err == nil {
-			t.Fatalf("policy %s on the legacy engine must error", pol)
-		}
-	}
-	if _, _, err := EvalWith(p, db, Options{Seminaive: true, CompilePlans: true, Policy: "bogus"}); err == nil {
+	if _, _, err := EvalWith(p, db, Options{Policy: "bogus"}); err == nil {
 		t.Fatal("unknown policy must error")
 	}
-	// Greedy (and the empty string) work on both engines.
-	for _, compile := range []bool{false, true} {
-		for _, pol := range []JoinOrderPolicy{"", PolicyGreedy} {
-			if _, _, err := EvalWith(p, db, Options{Seminaive: true, CompilePlans: compile, Policy: pol}); err != nil {
-				t.Fatalf("compile=%v policy=%q: %v", compile, pol, err)
-			}
+	for _, pol := range []JoinOrderPolicy{"", PolicyGreedy, PolicyCost, PolicyAdaptive} {
+		if _, _, err := EvalWith(p, db, Options{Policy: pol}); err != nil {
+			t.Fatalf("policy %q: %v", pol, err)
 		}
 	}
 }

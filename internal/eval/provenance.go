@@ -13,17 +13,12 @@ import (
 // derivation tree for any answer (the ground counterpart of the
 // paper's symbolic derivation trees).
 type Provenance struct {
-	steps map[string]provStep
-}
-
-type provStep struct {
-	rule ast.Rule   // the instantiated rule (ground)
-	body []ast.Atom // ground positive subgoals (EDB and IDB)
+	steps map[string]ast.Rule // fact key → ground rule instance
 }
 
 // Derivation is a node of a ground derivation tree: the derived fact,
 // the instantiated rule that produced it, and the sub-derivations of
-// its IDB subgoals (EDB leaves have no children and no rule).
+// its positive subgoals (EDB leaves have no children and no rule).
 type Derivation struct {
 	Fact     ast.Atom
 	Rule     *ast.Rule // nil for EDB leaves
@@ -31,49 +26,23 @@ type Derivation struct {
 }
 
 // EvalProv evaluates like Eval but also returns provenance for the
-// derived facts. Provenance is compatible with parallel rounds: steps
-// are built inside each task's private buffer and recorded at the
-// single-threaded round barrier, in deterministic merge order, so the
-// recorded derivation of every fact is the same for any worker count.
+// derived facts. Provenance is compatible with parallel rounds: each
+// task snapshots the bindings of the heads it buffers, and steps are
+// recorded at the single-threaded round barrier, in deterministic
+// merge order, so the recorded derivation of every fact is the same
+// for any worker count.
 func EvalProv(p *ast.Program, edb *DB) (*DB, *Provenance, *Stats, error) {
 	return evalProvOpts(context.Background(), p, edb, DefaultOptions())
 }
 
-// evalProvOpts is EvalProv with an explicit context and options,
-// dispatching to the engine opts select. The differential tests use it
-// to compare provenance across engines and worker counts.
+// evalProvOpts is EvalProv with an explicit context and options.
 func evalProvOpts(ctx context.Context, p *ast.Program, edb *DB, opts Options) (*DB, *Provenance, *Stats, error) {
-	if err := p.Validate(); err != nil {
+	prov := &Provenance{steps: map[string]ast.Rule{}}
+	idb, stats, err := evaluate(ctx, p, edb, opts, prov)
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := opts.validatePolicy(); err != nil {
-		return nil, nil, nil, err
-	}
-	prov := &Provenance{steps: map[string]provStep{}}
-	if opts.CompilePlans {
-		idb, stats, err := evalCompiled(ctx, p, edb, opts, prov)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return idb, prov, stats, nil
-	}
-	ev := &evaluator{
-		ctx:     ctx,
-		prog:    p,
-		edb:     edb,
-		idb:     NewDB(),
-		opts:    opts,
-		workers: opts.effectiveWorkers(),
-		stats:   &Stats{},
-		prov:    prov,
-	}
-	if err := ev.run(); err != nil {
-		return nil, nil, nil, err
-	}
-	return ev.idb, prov, ev.stats, nil
+	return idb, prov, stats, nil
 }
 
 // Tree reconstructs the derivation tree for a ground IDB fact. EDB
@@ -89,13 +58,12 @@ func (pv *Provenance) Tree(fact ast.Atom, idbPreds map[string]bool, edb *DB) (*D
 		}
 		return nil, fmt.Errorf("eval: EDB fact %s is not in the database", fact)
 	}
-	step, ok := pv.steps[fact.Key()]
+	rule, ok := pv.steps[fact.Key()]
 	if !ok {
 		return nil, fmt.Errorf("eval: no derivation recorded for %s", fact)
 	}
-	rule := step.rule
 	node := &Derivation{Fact: fact, Rule: &rule}
-	for _, sub := range step.body {
+	for _, sub := range rule.Pos {
 		child, err := pv.Tree(sub, idbPreds, edb)
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -114,6 +115,141 @@ func TestProvenanceEveryDerivedFactHasATree(t *testing.T) {
 				}
 			}
 			walk(tree)
+		}
+	}
+}
+
+// checkDerivation verifies a derivation tree independently of the
+// engine that recorded it: every internal node is a ground instance of
+// some rule of p (head, positive and negated subgoals unify under one
+// substitution that also satisfies the rule's comparisons) whose
+// positive subgoals are exactly its children's facts; every leaf is an
+// EDB fact of a predicate p does not derive; and every negated body
+// atom is absent from the EDB.
+func checkDerivation(p *ast.Program, edb *DB, d *Derivation) error {
+	idb := p.IDB()
+	if d.Rule == nil {
+		if idb[d.Fact.Pred] || !edb.Contains(d.Fact) {
+			return fmt.Errorf("leaf %s is not an EDB fact", d.Fact)
+		}
+		return nil
+	}
+	inst := d.Rule
+	if !inst.Head.Equal(d.Fact) {
+		return fmt.Errorf("rule head %s does not match fact %s", inst.Head, d.Fact)
+	}
+	if len(d.Children) != len(inst.Pos) {
+		return fmt.Errorf("%s: %d children for %d positive subgoals", d.Fact, len(d.Children), len(inst.Pos))
+	}
+	for i, c := range d.Children {
+		if !c.Fact.Equal(inst.Pos[i]) {
+			return fmt.Errorf("%s: child %s does not match subgoal %s", d.Fact, c.Fact, inst.Pos[i])
+		}
+	}
+	for _, a := range inst.Neg {
+		if edb.Contains(a) {
+			return fmt.Errorf("%s: negated subgoal %s is in the EDB", d.Fact, a)
+		}
+	}
+	if !instanceOfSomeRule(p, *inst) {
+		return fmt.Errorf("%s is not a ground instance of any rule", inst)
+	}
+	for _, c := range d.Children {
+		if err := checkDerivation(p, edb, c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// instanceOfSomeRule reports whether inst is ground and equals θ(r) for
+// some rule r of p and substitution θ satisfying r's comparisons.
+func instanceOfSomeRule(p *ast.Program, inst ast.Rule) bool {
+	for _, r := range p.Rules {
+		if len(r.Pos) != len(inst.Pos) || len(r.Neg) != len(inst.Neg) {
+			continue
+		}
+		theta := map[string]ast.Term{}
+		ok := unifyGround(r.Head, inst.Head, theta)
+		for i := 0; ok && i < len(r.Pos); i++ {
+			ok = unifyGround(r.Pos[i], inst.Pos[i], theta)
+		}
+		for i := 0; ok && i < len(r.Neg); i++ {
+			ok = unifyGround(r.Neg[i], inst.Neg[i], theta)
+		}
+		for _, c := range r.Cmp {
+			if !ok {
+				break
+			}
+			l, lok := resolveTerm(c.Left, theta)
+			rr, rok := resolveTerm(c.Right, theta)
+			ok = lok && rok && ast.NewCmp(l, c.Op, rr).Eval()
+		}
+		if ok {
+			return true
+		}
+	}
+	return false
+}
+
+// unifyGround extends theta so that pattern maps onto the ground atom g.
+func unifyGround(pattern, g ast.Atom, theta map[string]ast.Term) bool {
+	if pattern.Pred != g.Pred || len(pattern.Args) != len(g.Args) || !g.Ground() {
+		return false
+	}
+	for i, t := range pattern.Args {
+		if t.IsConst() {
+			if !t.Equal(g.Args[i]) {
+				return false
+			}
+			continue
+		}
+		if v, ok := theta[t.Name]; ok {
+			if !v.Equal(g.Args[i]) {
+				return false
+			}
+			continue
+		}
+		theta[t.Name] = g.Args[i]
+	}
+	return true
+}
+
+func resolveTerm(t ast.Term, theta map[string]ast.Term) (ast.Term, bool) {
+	if t.IsConst() {
+		return t, true
+	}
+	v, ok := theta[t.Name]
+	return v, ok
+}
+
+// TestCheckDerivationRejectsUnsound pins the checker itself: a tree
+// whose rule instance no rule produces, whose leaf is not in the EDB,
+// or whose negated subgoal is present must each be rejected.
+func TestCheckDerivationRejectsUnsound(t *testing.T) {
+	p := parser.MustParseProgram(`
+		q(X) :- e(X, Y), X < Y, !bad(X).
+		?- q.
+	`)
+	db := NewDB()
+	db.AddFacts(parser.MustParseFacts(`e(1, 2). e(5, 2). e(3, 4). bad(3).`))
+	leaf := func(a ast.Atom) *Derivation { return &Derivation{Fact: a} }
+	node := func(x, y float64) *Derivation {
+		head := ast.NewAtom("q", ast.N(x))
+		body := ast.NewAtom("e", ast.N(x), ast.N(y))
+		r := ast.Rule{Head: head, Pos: []ast.Atom{body}, Neg: []ast.Atom{ast.NewAtom("bad", ast.N(x))}}
+		return &Derivation{Fact: head, Rule: &r, Children: []*Derivation{leaf(body)}}
+	}
+	if err := checkDerivation(p, db, node(1, 2)); err != nil {
+		t.Fatalf("sound derivation rejected: %v", err)
+	}
+	for name, d := range map[string]*Derivation{
+		"comparison fails": node(5, 2),
+		"leaf not in EDB":  node(1, 5),
+		"negated present":  node(3, 4),
+	} {
+		if checkDerivation(p, db, d) == nil {
+			t.Errorf("%s: unsound derivation accepted", name)
 		}
 	}
 }

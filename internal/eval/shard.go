@@ -21,10 +21,10 @@ package eval
 // any shard count.
 //
 // Partition keys are rendered term contents (ast.Term.Key), never
-// intern ids: interning order differs run to run and engine to engine,
-// while the rendered key of a row is stable. That is what makes shard
+// intern ids: interning order differs from run to run, while the
+// rendered key of a row is stable. That is what makes shard
 // assignment — and the ShardExchanged counter — deterministic across
-// runs, engines, and symbol-table growth.
+// runs and symbol-table growth.
 
 import (
 	"repro/internal/shard"
@@ -38,7 +38,7 @@ func (o Options) effectiveShards() int {
 	return 0
 }
 
-// partitioner resolves Options.ShardPartitioner; validatePolicy has
+// partitioner resolves Options.ShardPartitioner; validate has
 // already rejected unknown names.
 func (o Options) partitioner() shard.Partitioner {
 	p, err := shard.Parse(o.ShardPartitioner)
@@ -49,8 +49,7 @@ func (o Options) partitioner() shard.Partitioner {
 }
 
 // appendSharded appends one task per shard, all filtering the same
-// depth-0 relation through the precomputed owners slice. Shared by
-// both engines, like appendPartitioned, so their task lists coincide.
+// depth-0 relation through the precomputed owners slice.
 func appendSharded(ts []task, t task, owners []uint8, shards int) []task {
 	for s := 0; s < shards; s++ {
 		nt := t
@@ -60,73 +59,54 @@ func appendSharded(ts []task, t task, owners []uint8, shards int) []task {
 	return ts
 }
 
-// shardKey renders the partition key of a tuple: the canonical key of
-// its first column ("" for arity-0 relations, which puts all their
-// rows on one shard).
-func shardKey(t Tuple) string {
-	if len(t) == 0 {
-		return ""
-	}
-	return t[0].Key()
-}
-
 // ownersFor returns the per-row shard owners of rel, extending the
-// memoized slice to cover rows appended since the last round. Called
-// only at single-threaded round barriers; tasks read the returned
-// slice concurrently but never write it.
-func (ev *evaluator) ownersFor(rel *Relation) []uint8 {
+// memoized slice to cover rows appended since the last round. The key
+// is the rendered term of each row's first column ("" for arity-0
+// relations, which puts all their rows on one shard); termKey is safe
+// here because barriers are single-threaded and the interner stopped
+// growing after prepare. Tasks read the returned slice concurrently
+// but never write it.
+func (ev *engine) ownersFor(rel *irel) []uint8 {
 	if rel == nil {
 		return nil
 	}
 	o := ev.owners[rel]
-	for i := len(o); i < rel.Len(); i++ {
-		o = append(o, uint8(ev.part.Shard(shardKey(rel.tuples[i]), ev.shards)))
+	for i := len(o); i < rel.n; i++ {
+		o = append(o, uint8(ev.part.Shard(ev.rowShardKey(rel.row(i)), ev.shards)))
 	}
 	ev.owners[rel] = o
 	return o
 }
 
-// addHead merges one buffered head derivation at the barrier.
-// fromShard is the deriving task's shard (-1 for unsharded tasks);
-// new tuples not owned by their deriving shard count as cross-shard
-// exchange traffic.
-func (ev *evaluator) addHead(h headDerivation, roundDelta map[string]int64, fromShard int) {
-	if !ev.idb.AddFact(h.fact) {
-		return // another task derived it first this round
+func (ev *engine) rowShardKey(row []uint32) string {
+	if len(row) == 0 {
+		return ""
 	}
-	ev.stats.TuplesDerived++
-	roundDelta[h.fact.Pred]++
-	if ev.delta != nil {
-		ev.delta.AddFact(h.fact)
-	}
-	if ev.prov != nil && h.step != nil {
-		ev.prov.steps[h.fact.Key()] = *h.step
-	}
-	if fromShard >= 0 && ev.part.Shard(shardKey(Tuple(h.fact.Args)), ev.shards) != fromShard {
-		ev.stats.ShardExchanged++
-	}
+	return ev.in.termKey(row[0])
 }
 
 // mergeShardGroup merges the buffers of one (rule, occ) shard group.
 // Counters are summed in task order; heads are k-way merged by the
 // depth-0 row index that produced them, which is exactly the order a
 // single unsharded task derives them in (each buffer is ascending in
-// rowIdx, and a depth-0 row belongs to exactly one shard).
-func (ev *evaluator) mergeShardGroup(results []taskResult, tasks []task, roundDelta map[string]int64) error {
+// rowIdx, and a depth-0 row belongs to exactly one shard). New tuples
+// not owned by their deriving shard count as cross-shard exchange
+// traffic. Adaptive plan swaps cannot occur here — the policy is
+// rejected with Options.Shards — so the group shares one plan.
+func (ev *engine) mergeShardGroup(results []taskOut, tasks []task, roundDelta map[string]int64) error {
 	for i := range results {
-		res := &results[i]
-		if res.err != nil {
-			return res.err
+		if err := ev.addCounters(&results[i]); err != nil {
+			return err
 		}
-		ev.stats.JoinProbes += res.probes
-		ev.stats.RuleFirings += res.firings
 	}
+	pl := ev.planFor(tasks[0].ruleIdx, tasks[0].occ)
+	ha := len(pl.head.isConst)
 	pos := make([]int, len(results))
 	for {
 		best := -1
 		var bestRow int32
 		for k := range results {
-			if pos[k] >= len(results[k].heads) {
+			if pos[k] >= results[k].nHeads {
 				continue
 			}
 			if r := results[k].rowIdx[pos[k]]; best < 0 || r < bestRow {
@@ -136,26 +116,13 @@ func (ev *evaluator) mergeShardGroup(results []taskResult, tasks []task, roundDe
 		if best < 0 {
 			return nil
 		}
-		ev.addHead(results[best].heads[pos[best]], roundDelta, tasks[best].shard)
+		res, h := &results[best], pos[best]
 		pos[best]++
-	}
-}
-
-// ownersFor is the compiled-engine twin, keyed on the rendered term of
-// each row's first column (termKey is safe here: barriers are
-// single-threaded and the interner stopped growing after prepare).
-func (ev *cEvaluator) ownersFor(rel *irel) []uint8 {
-	if rel == nil {
-		return nil
-	}
-	o := ev.owners[rel]
-	for i := len(o); i < rel.n; i++ {
-		key := ""
-		if rel.arity > 0 {
-			key = ev.in.termKey(rel.row(i)[0])
+		if !ev.addHead(pl, res, h, roundDelta) {
+			continue // a lower-rowIdx derivation merged it first
 		}
-		o = append(o, uint8(ev.part.Shard(key, ev.shards)))
+		if ev.part.Shard(ev.rowShardKey(res.headRows[h*ha:(h+1)*ha]), ev.shards) != tasks[best].shard {
+			ev.stats.ShardExchanged++
+		}
 	}
-	ev.owners[rel] = o
-	return o
 }

@@ -13,56 +13,46 @@ import (
 
 // --- sharded-evaluation differential harness ------------------------------
 //
-// The tentpole contract: answers, Stats (including derivation counts
-// and per-round deltas), and provenance are bit-identical to
-// single-shard evaluation at any shard count, for both engines, every
-// worker count, and both partitioners. The baseline is the same
-// engine's unsharded run, so the assertion is exactly "sharding is
+// The contract: answers, Stats (including derivation counts and
+// per-round deltas), and provenance are bit-identical to single-shard
+// evaluation at any shard count, every worker count, and both
+// partitioners. The baseline is the unsharded run, whose answers are
+// the reference evaluator's, so the assertion is exactly "sharding is
 // invisible except for ShardExchanged".
 
 var shardCounts = []int{1, 2, 4}
 
 func requireShardsIdentical(t *testing.T, label string, p *ast.Program, db *DB) {
 	t.Helper()
-	var bases []engineRun
-	for _, compile := range []bool{false, true} {
-		base := runEngine(t, p, db, Options{Seminaive: true, UseIndex: true, CompilePlans: compile})
-		if base.stats.ShardExchanged != 0 {
-			t.Fatalf("%s: unsharded run reports ShardExchanged=%d", label, base.stats.ShardExchanged)
-		}
-		bases = append(bases, base)
-		for _, workers := range []int{1, 4} {
-			for _, shards := range shardCounts {
-				parts := []string{"modulo"}
-				if shards > 1 {
-					parts = append(parts, "rendezvous")
+	base := runEngine(t, p, db, Options{})
+	requireReference(t, label, p, db, base.preds)
+	if base.stats.ShardExchanged != 0 {
+		t.Fatalf("%s: unsharded run reports ShardExchanged=%d", label, base.stats.ShardExchanged)
+	}
+	for _, workers := range []int{1, 4} {
+		for _, shards := range shardCounts {
+			parts := []string{"modulo"}
+			if shards > 1 {
+				parts = append(parts, "rendezvous")
+			}
+			for _, part := range parts {
+				opts := Options{Workers: workers, Shards: shards, ShardPartitioner: part}
+				cr := runEngine(t, p, db, opts)
+				ctx := fmt.Sprintf("%s (workers=%d shards=%d part=%s)", label, workers, shards, part)
+				if !cr.stats.Equal(&base.stats) {
+					t.Fatalf("%s: stats differ from unsharded:\nbase    %+v\nsharded %+v", ctx, base.stats, cr.stats)
 				}
-				for _, part := range parts {
-					opts := Options{Seminaive: true, UseIndex: true, CompilePlans: compile,
-						Workers: workers, Shards: shards, ShardPartitioner: part}
-					cr := runEngine(t, p, db, opts)
-					ctx := fmt.Sprintf("%s (compile=%v workers=%d shards=%d part=%s)",
-						label, compile, workers, shards, part)
-					if !cr.stats.Equal(&base.stats) {
-						t.Fatalf("%s: stats differ from unsharded:\nbase    %+v\nsharded %+v", ctx, base.stats, cr.stats)
-					}
-					if !reflect.DeepEqual(cr.preds, base.preds) {
-						t.Fatalf("%s: answers differ from unsharded", ctx)
-					}
-					if cr.prov != base.prov {
-						t.Fatalf("%s: provenance differs from unsharded", ctx)
-					}
-					if shards <= 1 && cr.stats.ShardExchanged != 0 {
-						t.Fatalf("%s: ShardExchanged=%d without sharding", ctx, cr.stats.ShardExchanged)
-					}
+				if !reflect.DeepEqual(cr.preds, base.preds) {
+					t.Fatalf("%s: answers differ from unsharded", ctx)
+				}
+				if cr.prov != base.prov {
+					t.Fatalf("%s: provenance differs from unsharded", ctx)
+				}
+				if shards <= 1 && cr.stats.ShardExchanged != 0 {
+					t.Fatalf("%s: ShardExchanged=%d without sharding", ctx, cr.stats.ShardExchanged)
 				}
 			}
 		}
-	}
-	// Cross-engine sanity on top of the per-engine invariance (the
-	// compiled differential suite pins this in depth).
-	if !reflect.DeepEqual(bases[0].preds, bases[1].preds) {
-		t.Fatalf("%s: engines disagree on answers", label)
 	}
 }
 
@@ -140,10 +130,9 @@ func TestShardCostPolicy(t *testing.T) {
 		?- r.
 	`)
 	db := filterSkewDB(800)
-	base := runEngine(t, p, db, Options{Seminaive: true, UseIndex: true, CompilePlans: true, Policy: PolicyCost})
+	base := runEngine(t, p, db, Options{Policy: PolicyCost})
 	for _, shards := range []int{2, 4} {
-		cr := runEngine(t, p, db, Options{Seminaive: true, UseIndex: true, CompilePlans: true,
-			Policy: PolicyCost, Shards: shards, Workers: 4})
+		cr := runEngine(t, p, db, Options{Policy: PolicyCost, Shards: shards, Workers: 4})
 		if !cr.stats.Equal(&base.stats) {
 			t.Fatalf("shards=%d: cost stats differ:\n%+v\nvs\n%+v", shards, base.stats, cr.stats)
 		}
@@ -153,8 +142,8 @@ func TestShardCostPolicy(t *testing.T) {
 	}
 }
 
-// TestShardAblations: naive rounds and the unindexed scan path keep
-// answers identical under sharding.
+// TestShardAblations: the unindexed scan path keeps Stats and answers
+// identical under sharding.
 func TestShardAblations(t *testing.T) {
 	p := parser.MustParseProgram(`
 		path(X, Y) :- step(X, Y).
@@ -162,25 +151,15 @@ func TestShardAblations(t *testing.T) {
 		?- path.
 	`)
 	db := chainEDB(25)
-	for _, seminaive := range []bool{true, false} {
-		for _, useIndex := range []bool{true, false} {
-			for _, compile := range []bool{false, true} {
-				base := runEngine(t, p, db, Options{Seminaive: seminaive, UseIndex: useIndex, CompilePlans: compile})
-				cr := runEngine(t, p, db, Options{Seminaive: seminaive, UseIndex: useIndex, CompilePlans: compile,
-					Shards: 3, Workers: 2})
-				ctx := fmt.Sprintf("seminaive=%v index=%v compile=%v", seminaive, useIndex, compile)
-				if !cr.stats.Equal(&base.stats) || !reflect.DeepEqual(cr.preds, base.preds) {
-					t.Fatalf("%s: sharded ablation differs", ctx)
-				}
-			}
+	for _, scan := range []bool{false, true} {
+		base := runEngine(t, p, db, Options{Scan: scan})
+		cr := runEngine(t, p, db, Options{Scan: scan, Shards: 3, Workers: 2})
+		if !cr.stats.Equal(&base.stats) || !reflect.DeepEqual(cr.preds, base.preds) {
+			t.Fatalf("scan=%v: sharded ablation differs", scan)
 		}
 	}
 }
 
-// TestShardExchangedDeterministic pins the content-based partitioner:
-// the cross-shard traffic counter is identical across runs, across
-// engines (which intern terms in different orders), and across EDB
-// insertion orders — none of which may influence shard ownership.
 func TestShardExchangedDeterministic(t *testing.T) {
 	p := parser.MustParseProgram(`
 		path(X, Y) :- step(X, Y).
@@ -188,23 +167,16 @@ func TestShardExchangedDeterministic(t *testing.T) {
 		?- path.
 	`)
 	db := chainEDB(30)
-	opts := Options{Seminaive: true, UseIndex: true, Shards: 4, Workers: 2}
-	legacy := runEngine(t, p, db, opts)
-	optsC := opts
-	optsC.CompilePlans = true
-	compiled := runEngine(t, p, db, optsC)
-	if legacy.stats.ShardExchanged == 0 {
+	opts := Options{Shards: 4, Workers: 2}
+	first := runEngine(t, p, db, opts)
+	if first.stats.ShardExchanged == 0 {
 		t.Fatal("expected nonzero cross-shard traffic on a 30-node chain")
 	}
-	if legacy.stats.ShardExchanged != compiled.stats.ShardExchanged {
-		t.Fatalf("engines disagree on ShardExchanged: legacy=%d compiled=%d",
-			legacy.stats.ShardExchanged, compiled.stats.ShardExchanged)
-	}
 	for run := 0; run < 3; run++ {
-		again := runEngine(t, p, db, optsC)
-		if again.stats.ShardExchanged != compiled.stats.ShardExchanged {
+		again := runEngine(t, p, db, opts)
+		if again.stats.ShardExchanged != first.stats.ShardExchanged {
 			t.Fatalf("ShardExchanged varies across runs: %d vs %d",
-				again.stats.ShardExchanged, compiled.stats.ShardExchanged)
+				again.stats.ShardExchanged, first.stats.ShardExchanged)
 		}
 	}
 
@@ -222,7 +194,7 @@ func TestShardExchangedDeterministic(t *testing.T) {
 		rev.AddFact(ast.NewAtom("e", ast.N(float64(i)), ast.N(float64(i*7%50))))
 	}
 	for _, part := range []string{"modulo", "rendezvous"} {
-		o := Options{Seminaive: true, UseIndex: true, CompilePlans: true, Shards: 4, ShardPartitioner: part}
+		o := Options{Shards: 4, ShardPartitioner: part}
 		a := runEngine(t, p1, fwd, o)
 		b := runEngine(t, p1, rev, o)
 		if a.stats.ShardExchanged != b.stats.ShardExchanged {
@@ -242,12 +214,9 @@ func TestShardBudgetAndCancellation(t *testing.T) {
 		?- path.
 	`)
 	db := chainEDB(100)
-	for _, compile := range []bool{false, true} {
-		_, _, err := EvalWith(p, db, Options{Seminaive: true, UseIndex: true, CompilePlans: compile,
-			Shards: 4, Workers: 4, MaxTuples: 50})
-		if !errors.Is(err, ErrBudget) {
-			t.Fatalf("compile=%v: want ErrBudget, got %v", compile, err)
-		}
+	_, _, err := EvalWith(p, db, Options{Shards: 4, Workers: 4, MaxTuples: 50})
+	if !errors.Is(err, ErrBudget) {
+		t.Fatalf("want ErrBudget, got %v", err)
 	}
 }
 
@@ -255,22 +224,23 @@ func TestShardOptionsValidation(t *testing.T) {
 	p := parser.MustParseProgram("q(X) :- e(X, X).\n?- q.\n")
 	db := NewDB()
 	bad := []Options{
-		{Seminaive: true, Shards: -1},
-		{Seminaive: true, Shards: 1000},
-		{Seminaive: true, Shards: 2, ShardPartitioner: "bogus"},
-		{Seminaive: true, Shards: 2, CompilePlans: true, Policy: PolicyAdaptive},
+		{Shards: -1},
+		{Shards: 1000},
+		{Shards: 2, ShardPartitioner: "bogus"},
+		{Shards: 2, Policy: PolicyAdaptive},
 	}
 	for i, o := range bad {
 		if _, _, err := EvalWith(p, db, o); err == nil {
 			t.Fatalf("case %d: options %+v must be rejected", i, o)
 		}
 	}
-	// Sharding works on both engines, and shards=1 is a no-op.
+	// Sharding works with both partitioners and the cost policy, and
+	// shards=1 is a no-op.
 	for _, o := range []Options{
-		{Seminaive: true, UseIndex: true, Shards: 2},
-		{Seminaive: true, UseIndex: true, Shards: 1},
-		{Seminaive: true, UseIndex: true, CompilePlans: true, Shards: 2, ShardPartitioner: "rendezvous"},
-		{Seminaive: true, UseIndex: true, CompilePlans: true, Policy: PolicyCost, Shards: 2},
+		{Shards: 2},
+		{Shards: 1},
+		{Shards: 2, ShardPartitioner: "rendezvous"},
+		{Policy: PolicyCost, Shards: 2},
 	} {
 		if _, _, err := EvalWith(p, db, o); err != nil {
 			t.Fatalf("options %+v: %v", o, err)

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/eval"
+	"repro/internal/eval/evalref"
 	"repro/internal/parser"
 )
 
@@ -60,26 +61,26 @@ func viewFacts(t *testing.T, v *View, pred string) []string {
 	return renderTuples(pred, ts)
 }
 
-// requireConsistent checks the view against from-scratch evaluation of
-// the reference EDB under both engines × workers {1,4}: every IDB
-// relation must be identical.
+// requireConsistent checks the view against the reference evaluator
+// and against from-scratch engine evaluation of the reference EDB at
+// workers {1,4}: every IDB relation must be identical.
 func requireConsistent(t *testing.T, label string, v *View, p *ast.Program, fs factSet) {
 	t.Helper()
 	db := fs.db()
-	for _, compiled := range []bool{false, true} {
-		for _, w := range []int{1, 4} {
-			opts := eval.Options{Seminaive: true, UseIndex: true, CompilePlans: compiled, Workers: w}
-			idb, _, err := eval.EvalCtx(context.Background(), p, db, opts)
-			if err != nil {
-				t.Fatalf("%s: eval(compiled=%v workers=%d): %v", label, compiled, w, err)
-			}
-			for pred := range p.IDB() {
-				want := idb.SortedFacts(pred)
-				got := viewFacts(t, v, pred)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: %s diverged (compiled=%v workers=%d):\nview %v\nfull %v",
-						label, pred, compiled, w, got, want)
-				}
+	ref := evalref.Eval(p, db)
+	for pred := range p.IDB() {
+		if got := viewFacts(t, v, pred); !reflect.DeepEqual(got, ref[pred]) {
+			t.Fatalf("%s: %s diverged from the reference:\nview %v\nref  %v", label, pred, got, ref[pred])
+		}
+	}
+	for _, w := range []int{1, 4} {
+		idb, _, err := eval.EvalCtx(context.Background(), p, db, eval.Options{Workers: w})
+		if err != nil {
+			t.Fatalf("%s: eval(workers=%d): %v", label, w, err)
+		}
+		for pred := range p.IDB() {
+			if got := idb.SortedFacts(pred); !reflect.DeepEqual(got, ref[pred]) {
+				t.Fatalf("%s: %s diverged (workers=%d):\nfull %v\nref  %v", label, pred, w, got, ref[pred])
 			}
 		}
 	}
@@ -445,10 +446,10 @@ func (pc incrProgram) universe() []ast.Atom {
 // TestIncrRandomizedDifferential is the main correctness gate (also
 // run under -race by `make incr-smoke`): randomized add/retract
 // sequences over several program shapes, checking after every batch
-// that the view matches from-scratch evaluation under both engines ×
-// workers {1,4}, that reported Changes equal the actual answer diff,
-// and (periodically) that derivation counts and provenance match a
-// fresh Materialize.
+// that the view matches the reference evaluator and from-scratch
+// evaluation at workers {1,4}, that reported Changes equal the actual
+// answer diff, and (periodically) that derivation counts and
+// provenance match a fresh Materialize.
 func TestIncrRandomizedDifferential(t *testing.T) {
 	for _, pc := range incrPrograms {
 		pc := pc

@@ -528,10 +528,11 @@ type queryRequest struct {
 	// evaluating (default true; false evaluates the program as sent,
 	// for A/B measurements).
 	Optimize *bool `json:"optimize,omitempty"`
-	// Workers overrides the evaluation pool size (0 → server default).
+	// Workers lowers the evaluation pool size (0 → server default);
+	// values above the server's pool are clamped to it.
 	Workers int `json:"workers,omitempty"`
-	// MaxTuples overrides the derived-tuple budget (0 → server
-	// default).
+	// MaxTuples lowers the derived-tuple budget (0 → server default);
+	// values above the server's -max-tuples are clamped to it.
 	MaxTuples int64 `json:"max_tuples,omitempty"`
 	// IncludeRoundDeltas opts into per-round delta sizes in the
 	// response (round → relation → tuples derived that round).
@@ -727,19 +728,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	evalOpts := sqo.DefaultEvalOptions()
-	evalOpts.Workers = s.cfg.Workers
-	evalOpts.MaxTuples = s.cfg.MaxTuples
+	evalOpts.Workers = s.requestWorkers(req.Workers)
+	evalOpts.MaxTuples = s.requestMaxTuples(req.MaxTuples)
 	evalOpts.Policy = policy
 	evalOpts.Magic = magicMode
 	// Elimination already ran (or was declined) above; keep QueryCtx
 	// from re-running the analysis per request.
 	evalOpts.Elim = sqo.ElimOff
-	if req.Workers > 0 {
-		evalOpts.Workers = req.Workers
-	}
-	if req.MaxTuples > 0 {
-		evalOpts.MaxTuples = req.MaxTuples
-	}
 
 	evalStart := time.Now()
 	tuples, stats, err := sqo.QueryCtx(ctx, prog, db, evalOpts)
@@ -794,4 +789,29 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp.RoundDeltas = stats.RoundDeltas
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// requestWorkers resolves a request's workers override: a request may
+// lower the evaluation pool below the server's effective size
+// (-workers, or one per CPU) but never raise it, so a client cannot
+// split each round into thousands of goroutine-backed tasks.
+func (s *Server) requestWorkers(req int) int {
+	pool := s.cfg.Workers
+	if pool <= 0 {
+		pool = runtime.GOMAXPROCS(0)
+	}
+	if req > 0 && req < pool {
+		return req
+	}
+	return s.cfg.Workers
+}
+
+// requestMaxTuples resolves a request's max_tuples override: a request
+// may tighten the server's derived-tuple budget but never lift it
+// (when -max-tuples is unset, any positive value applies).
+func (s *Server) requestMaxTuples(req int64) int64 {
+	if req > 0 && (s.cfg.MaxTuples == 0 || req < s.cfg.MaxTuples) {
+		return req
+	}
+	return s.cfg.MaxTuples
 }

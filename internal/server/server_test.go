@@ -324,6 +324,79 @@ func TestServerBudgetExceeded(t *testing.T) {
 	}
 }
 
+// TestServerMaxTuplesClamp: a request's max_tuples may tighten the
+// server's budget but never lift it.
+func TestServerMaxTuplesClamp(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxTuples: 50})
+	var facts strings.Builder
+	for i := 0; i < 100; i++ {
+		fmt.Fprintf(&facts, "e(%d, %d).\n", i, i+1)
+	}
+	registerDataset(t, ts.URL, "chain", facts.String())
+	tc := "p(X, Y) :- e(X, Y).\np(X, Y) :- e(X, Z), p(Z, Y).\n?- p."
+	var eb errorBody
+	code, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/query", queryRequest{
+		Program: tc, Dataset: "chain", MaxTuples: 1 << 40,
+	}, &eb)
+	if code != http.StatusUnprocessableEntity || eb.Code != "budget_exceeded" {
+		t.Fatalf("raised max_tuples: status %d (%+v), want 422 budget_exceeded", code, eb)
+	}
+	// Lowering still applies: 5 tuples fit under the server's 50 but
+	// not under a request budget of 3.
+	small := "q(X) :- e(X, Y), X < 5.\n?- q."
+	var ok queryResponse
+	if code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/query", queryRequest{
+		Program: small, Dataset: "chain",
+	}, &ok); code != http.StatusOK {
+		t.Fatalf("status = %d: %s", code, raw)
+	}
+	code, _ = doJSON(t, http.MethodPost, ts.URL+"/v1/query", queryRequest{
+		Program: small, Dataset: "chain", MaxTuples: 3,
+	}, &eb)
+	if code != http.StatusUnprocessableEntity || eb.Code != "budget_exceeded" {
+		t.Fatalf("lowered max_tuples: status %d (%+v), want 422 budget_exceeded", code, eb)
+	}
+	// View registration resolves its budget through the same helper.
+	if got := s.requestMaxTuples(1 << 40); got != 50 {
+		t.Fatalf("requestMaxTuples(huge) = %d, want 50", got)
+	}
+	if got := (&Server{}).requestMaxTuples(1 << 40); got != 1<<40 {
+		t.Fatalf("without -max-tuples a request budget applies, got %d", got)
+	}
+}
+
+// TestServerWorkersClamp: a request's workers may shrink the
+// evaluation pool but never grow it past the server's effective size.
+func TestServerWorkersClamp(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	for _, tc := range []struct{ req, want int }{
+		{0, 2}, {1, 1}, {2, 2}, {3, 2}, {1 << 20, 2},
+	} {
+		if got := s.requestWorkers(tc.req); got != tc.want {
+			t.Errorf("requestWorkers(%d) = %d, want %d", tc.req, got, tc.want)
+		}
+	}
+	// With the per-CPU default, an oversized request keeps the default.
+	if got := (&Server{}).requestWorkers(1 << 20); got != 0 {
+		t.Errorf("default pool: requestWorkers(huge) = %d, want 0 (one per CPU)", got)
+	}
+	var facts strings.Builder
+	for i := 0; i < 2000; i++ {
+		fmt.Fprintf(&facts, "e(%d, %d).\n", i, i+1)
+	}
+	registerDataset(t, ts.URL, "wide", facts.String())
+	var resp queryResponse
+	code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/query", queryRequest{
+		Program: "q(X) :- e(X, Y), X < 100.\n?- q.", Dataset: "wide", Workers: 1 << 20,
+	}, &resp)
+	if code != http.StatusOK {
+		t.Fatalf("status = %d: %s", code, raw)
+	}
+	if len(resp.Answers) != 100 {
+		t.Fatalf("answers = %d, want 100", len(resp.Answers))
+	}
+}
+
 func TestServerErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	registerDataset(t, ts.URL, "d", serverTestFacts)

@@ -166,7 +166,8 @@ type viewRequest struct {
 	// TimeoutMS bounds the initial materialization (0 → server default).
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// MaxTuples bounds tuples materialized by the initial fixpoint and
-	// any full rebuild (0 → server default).
+	// any full rebuild (0 → server default; values above the server's
+	// -max-tuples are clamped to it).
 	MaxTuples int64 `json:"max_tuples,omitempty"`
 }
 
@@ -273,10 +274,7 @@ func (s *Server) handleViewCreate(w http.ResponseWriter, r *http.Request) {
 		}
 		prog = p
 	}
-	maxTuples := s.cfg.MaxTuples
-	if req.MaxTuples > 0 {
-		maxTuples = req.MaxTuples
-	}
+	maxTuples := s.requestMaxTuples(req.MaxTuples)
 
 	// The dataset lock covers materialization: a concurrent fact update
 	// between snapshotting the EDB and registering the view would

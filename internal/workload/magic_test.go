@@ -3,8 +3,8 @@ package workload_test
 // Differential property for goal-directed evaluation over the program
 // generator: binding a goal argument and evaluating through the
 // magic-sets rewrite must answer exactly like bottom-up evaluation of
-// the same goal, across engines, worker counts, and the streaming
-// unfolding. Goals are drawn from actual answers (a hit) and from a
+// the same goal (itself checked against the reference evaluator),
+// across worker counts and the streaming unfolding. Goals are drawn from actual answers (a hit) and from a
 // constant outside the generated domain (a miss), so both the
 // demand-reaches-something and demand-reaches-nothing paths run.
 
@@ -15,6 +15,7 @@ import (
 
 	sqo "repro"
 	"repro/internal/ast"
+	"repro/internal/eval/evalref"
 	"repro/internal/workload"
 )
 
@@ -60,18 +61,18 @@ func TestRandomProgramMagicDifferential(t *testing.T) {
 			gp := prog.Clone()
 			gp.Goal = goal
 			want := answers(t, gp, db, off)
-			for _, compile := range []bool{false, true} {
-				for _, workers := range []int{1, 4} {
-					for _, stream := range []bool{false, true} {
-						opts := sqo.DefaultEvalOptions()
-						opts.CompilePlans = compile
-						opts.Workers = workers
-						opts.Stream = stream
-						got := answers(t, gp, db, opts)
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("seed %d goal %d (compile=%v workers=%d stream=%v): magic answers diverge\n got %v\nwant %v\ngoal %s\nprogram:\n%s",
-								seed, gi, compile, workers, stream, got, want, gp.GoalAtom(), progSrc)
-						}
+			if ref := evalref.Answers(gp, db); !reflect.DeepEqual(want, ref) {
+				t.Fatalf("seed %d goal %d: bottom-up answers differ from the reference\n got %v\nwant %v", seed, gi, want, ref)
+			}
+			for _, workers := range []int{1, 4} {
+				for _, stream := range []bool{false, true} {
+					opts := sqo.DefaultEvalOptions()
+					opts.Workers = workers
+					opts.Stream = stream
+					got := answers(t, gp, db, opts)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d goal %d (workers=%d stream=%v): magic answers diverge\n got %v\nwant %v\ngoal %s\nprogram:\n%s",
+							seed, gi, workers, stream, got, want, gp.GoalAtom(), progSrc)
 					}
 				}
 			}

@@ -3,8 +3,7 @@ package workload_test
 // Differential property over the program generator: every generated
 // program must parse, survive the full optimizer pipeline (which
 // exercises adornment against the generated constraints), and
-// evaluate to identical answers under the legacy and compiled engines
-// at 1 and 4 workers. Since the generated facts satisfy the generated
+// evaluate to the reference evaluator's answers at 1 and 4 workers. Since the generated facts satisfy the generated
 // constraints by construction, the optimized program must also agree
 // with the original on them.
 
@@ -14,6 +13,8 @@ import (
 	"testing"
 
 	sqo "repro"
+	"repro/internal/ast"
+	"repro/internal/eval/evalref"
 	"repro/internal/workload"
 )
 
@@ -25,7 +26,7 @@ func answers(t *testing.T, p *sqo.Program, db *sqo.DB, opts sqo.EvalOptions) []s
 	}
 	out := make([]string, len(tuples))
 	for i, tp := range tuples {
-		out[i] = tp.String()
+		out[i] = ast.NewAtom(p.Query, tp...).String()
 	}
 	sort.Strings(out)
 	return out
@@ -45,21 +46,13 @@ func TestRandomProgramDifferential(t *testing.T) {
 		}
 		db := sqo.NewDBFrom(facts)
 
-		var want []string
-		for _, compile := range []bool{false, true} {
-			for _, workers := range []int{1, 4} {
-				opts := sqo.DefaultEvalOptions()
-				opts.CompilePlans = compile
-				opts.Workers = workers
-				got := answers(t, prog, db, opts)
-				if want == nil {
-					want = got
-					continue
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d: engines disagree (compile=%v workers=%d):\n got %v\nwant %v\nprogram:\n%s",
-						seed, compile, workers, got, want, progSrc)
-				}
+		want := evalref.Answers(prog, db)
+		for _, workers := range []int{1, 4} {
+			opts := sqo.DefaultEvalOptions()
+			opts.Workers = workers
+			if got := answers(t, prog, db, opts); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: workers=%d disagrees with the reference:\n got %v\nwant %v\nprogram:\n%s",
+					seed, workers, got, want, progSrc)
 			}
 		}
 

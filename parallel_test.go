@@ -126,7 +126,7 @@ func assertWorkersAgree(t *testing.T, label string, prog *Program, db *DB) {
 	var first *DB
 	var firstStats *Stats
 	for _, w := range parallelWorkerCounts {
-		idb, stats, err := EvalWith(prog, db, EvalOptions{Seminaive: true, UseIndex: true, Workers: w})
+		idb, stats, err := EvalWith(prog, db, EvalOptions{Workers: w})
 		if err != nil {
 			t.Fatalf("%s workers=%d: %v", label, w, err)
 		}
@@ -224,7 +224,7 @@ func TestParallelDefaultWorkers(t *testing.T) {
 		?- path.
 	`)
 	db := NewDBFrom(workload.Chain(1, 60))
-	seq, seqStats, err := EvalWith(prog, db, EvalOptions{Seminaive: true, UseIndex: true, Workers: 1})
+	seq, seqStats, err := EvalWith(prog, db, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

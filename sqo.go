@@ -159,18 +159,18 @@ func NewDBFrom(facts []Atom) *DB {
 // regardless of worker count.
 func Eval(p *Program, edb *DB) (*DB, *Stats, error) { return eval.Eval(p, edb) }
 
-// EvalOptions configures the evaluation engine: naive vs semi-naive,
-// hash indexes, the derived-tuple budget, the worker pool size
-// (Workers: 0 = one per CPU, 1 = sequential), plan compilation
-// (CompilePlans: interned terms + compiled join plans; see
-// DefaultEvalOptions), and the join-order policy (Policy; see
-// JoinOrderPolicy).
+// EvalOptions configures the evaluation engine: full scans instead of
+// hash indexes (Scan, for the scan cost model), the derived-tuple
+// budget, the worker pool size (Workers: 0 = one per CPU, 1 =
+// sequential), the join-order policy (Policy; see JoinOrderPolicy),
+// and the query rewrites and sharding knobs. The zero value is the
+// default engine.
 type EvalOptions = eval.Options
 
-// JoinOrderPolicy selects how the compiled-plan engine orders the
-// subgoals of each rule: PolicyGreedy (static, most-bound-first),
-// PolicyCost (per-round orders from maintained relation statistics),
-// or PolicyAdaptive (cost orders plus run-time adaptivity). Answers,
+// JoinOrderPolicy selects how the engine orders the subgoals of each
+// rule: PolicyGreedy (static, most-bound-first), PolicyCost (per-round
+// orders from maintained relation statistics), or PolicyAdaptive (cost
+// orders plus run-time adaptivity). Answers,
 // derivation counts, and provenance are identical under every policy;
 // only join work differs.
 type JoinOrderPolicy = eval.JoinOrderPolicy
@@ -261,11 +261,9 @@ func EliminateRecursion(p *Program) (*Program, error) {
 	return res.Program, nil
 }
 
-// DefaultEvalOptions returns the engine defaults used by Eval:
-// semi-naive, hash-indexed, compiled join plans with the greedy
-// join-order policy, one worker per CPU. Start from it when overriding
-// a single knob so new defaults (like CompilePlans) are picked up
-// automatically.
+// DefaultEvalOptions returns the engine defaults used by Eval — the
+// zero EvalOptions: semi-naive, hash-indexed, compiled join plans with
+// the greedy join-order policy, one worker per CPU.
 func DefaultEvalOptions() EvalOptions { return eval.DefaultOptions() }
 
 // EvalWith evaluates with explicit engine options.
